@@ -4,15 +4,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .errors import NormalizationError, VisibilityUndefinedError
 from .interferometer import (
     DetectionOutcome,
+    OutcomeProbabilities,
     SchemeConfig,
-    joint_probability,
+    outcome_probabilities,
     run_scheme,
 )
 from .states import (
@@ -66,20 +67,25 @@ class PatternCurve:
         return np.array(self.values[:, column])
 
 
-def sweep_pattern(
-    cfg: SchemeConfig, variable: str, grid: Sequence[float]
-) -> PatternCurve:
-    """Run the scheme at every grid phase and record all coincidence probabilities.
+def sweep_probabilities(
+    cfg: SchemeConfig, variable: str, grid: Iterable[float]
+) -> Iterator[tuple[float, OutcomeProbabilities]]:
+    """Run the scheme at each grid phase in turn and yield the phase with all its
+    coincidence probabilities.
 
     ``variable`` uses the same identifiers as :meth:`SchemeConfig.replace_phase`.
     """
-    grid = [float(g) for g in grid]
-    cfg.replace_phase(variable, 0.0)  # reject unknown variables before the sweep
-    outcomes = DetectionOutcome.all_outcomes(cfg.n_detected)
-    rows = []
     for value in grid:
-        state = run_scheme(cfg.replace_phase(variable, value))
-        rows.append([joint_probability(state, outcome) for outcome in outcomes])
+        yield value, outcome_probabilities(run_scheme(cfg.replace_phase(variable, value)))
+
+
+def sweep_pattern(
+    cfg: SchemeConfig, variable: str, grid: Sequence[float]
+) -> PatternCurve:
+    """Loss-inclusive probabilities of every coincidence outcome along a phase sweep."""
+    grid = [float(g) for g in grid]
+    rows = [list(probs.marginal.values()) for _, probs in sweep_probabilities(cfg, variable, grid)]
+    outcomes = DetectionOutcome.all_outcomes(cfg.n_detected)
     return PatternCurve(variable, tuple(grid), outcomes, np.array(rows))
 
 

@@ -23,6 +23,7 @@ from .analysis import (
     fidelity,
     pure_state_from_density,
     sweep_pattern,
+    sweep_probabilities,
     three_tangle,
     visibility,
 )
@@ -35,7 +36,13 @@ from .closed_form import (
     ghz_class_three,
     predicted_output_state,
 )
-from .errors import ConfigError, PathIdentityError, ScenarioParseError
+from .errors import (
+    ConfigError,
+    NormalizationError,
+    PathIdentityError,
+    ScenarioParseError,
+    ValidationError,
+)
 from .interferometer import (
     MAX_PARTICLES,
     DetectionOutcome,
@@ -44,7 +51,14 @@ from .interferometer import (
     detection_table,
     run_scheme,
 )
-from .states import PureState, aligned_beam, partial_trace, pure_state_from_terms, state_fidelity
+from .states import (
+    MAX_DENSITY_DIM,
+    PureState,
+    aligned_beam,
+    partial_trace,
+    pure_state_from_terms,
+    state_fidelity,
+)
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -57,6 +71,7 @@ DEFAULT_SEED = 42
 ROW_SUM_TOLERANCE = 1e-9
 ORACLE_TOLERANCE = 1e-9
 _VISIBILITY_STEPS = 64
+DEFAULT_ENTANGLE_GRID = tuple(k / 10 for k in range(11))
 
 
 @dataclass(frozen=True)
@@ -122,6 +137,10 @@ class _Entries:
             self.pairs[key] = (value, lineno)
         self.consumed: set[str] = set()
 
+    def error(self, key: str, message: str) -> ScenarioParseError:
+        """A parse error naming ``key`` and the line it was given on, if any."""
+        return ScenarioParseError(message, key=key, line=self.line_of(key))
+
     def take(self, key: str) -> tuple[str, int] | None:
         if key in self.pairs:
             self.consumed.add(key)
@@ -136,21 +155,19 @@ class _Entries:
         found = self.take(key)
         if found is None:
             return default
-        value, line = found
         try:
-            return int(value)
+            return int(found[0])
         except ValueError:
-            raise ScenarioParseError(f"expected an integer, got {value!r}", key=key, line=line)
+            raise self.error(key, f"expected an integer, got {found[0]!r}")
 
     def take_float(self, key: str, default: float | None = None) -> float | None:
         found = self.take(key)
         if found is None:
             return default
-        value, line = found
         try:
-            return float(value)
+            return float(found[0])
         except ValueError:
-            raise ScenarioParseError(f"expected a number, got {value!r}", key=key, line=line)
+            raise self.error(key, f"expected a number, got {found[0]!r}")
 
     def line_of(self, key: str) -> int | None:
         return self.pairs[key][1] if key in self.pairs else None
@@ -170,58 +187,45 @@ def _parse_scheme(entries: _Entries, required: bool) -> SchemeConfig | None:
     m = entries.take_int("scheme.m")
     for key, value in (("scheme.n", n), ("scheme.m", m)):
         if value is None:
-            raise ScenarioParseError("missing key", key=key)
+            raise entries.error(key, "missing key")
     if not 1 <= n <= MAX_PARTICLES:
-        raise ScenarioParseError(
-            f"scheme.n must lie in [1, {MAX_PARTICLES}]", key="scheme.n", line=entries.line_of("scheme.n")
-        )
+        raise entries.error("scheme.n", f"scheme.n must lie in [1, {MAX_PARTICLES}]")
     if not 0 <= m <= n:
-        raise ScenarioParseError(
-            f"scheme.m must lie in [0, {n}]", key="scheme.m", line=entries.line_of("scheme.m")
-        )
+        raise entries.error("scheme.m", f"scheme.m must lie in [0, {n}]")
     phi0 = entries.take_float("scheme.phi0", 0.0)
     phi = tuple(entries.take_float(f"scheme.phi.{j}", 0.0) for j in range(1, n - m + 1))
-    theta = tuple(entries.take_float(f"scheme.theta.{l}", 0.0) for l in range(n - m + 1, n + 1))
-    trans = []
-    for l in range(n - m + 1, n + 1):
-        key = f"scheme.transmission.{l}"
-        value = entries.take_float(key, 1.0)
-        if not 0.0 <= value <= 1.0:
-            raise ScenarioParseError(
-                f"transmission must lie in [0, 1], got {value}", key=key, line=entries.line_of(key)
-            )
-        trans.append(value)
+    aligned = range(n - m + 1, n + 1)
+    theta = tuple(entries.take_float(f"scheme.theta.{l}", 0.0) for l in aligned)
+    trans = tuple(entries.take_float(f"scheme.transmission.{l}", 1.0) for l in aligned)
     leftovers = [k for k in entries.matching("scheme.") if k not in entries.consumed]
     if leftovers:
-        key = leftovers[0]
-        raise ScenarioParseError("key does not fit this scheme", key=key, line=entries.line_of(key))
+        raise entries.error(leftovers[0], "key does not fit this scheme")
     try:
-        return SchemeConfig(n, m, phi0=phi0, phi=phi, theta=theta, transmission=tuple(trans))
+        return SchemeConfig(n, m, phi0=phi0, phi=phi, theta=theta, transmission=trans)
     except ConfigError as exc:
-        raise ScenarioParseError(str(exc), key="scheme.n", line=entries.line_of("scheme.n"))
+        raise entries.error(f"scheme.{exc.field}", str(exc))
 
 
 def _parse_sweep(entries: _Entries, scheme: SchemeConfig) -> SweepSpec:
     variable = entries.take_str("sweep.variable")
     if variable is None:
-        raise ScenarioParseError("missing key", key="sweep.variable")
+        raise entries.error("sweep.variable", "missing key")
     try:
         scheme.replace_phase(variable, 0.0)
     except ValueError as exc:
-        raise ScenarioParseError(
-            str(exc), key="sweep.variable", line=entries.line_of("sweep.variable")
-        )
+        raise entries.error("sweep.variable", str(exc))
     steps = entries.take_int("sweep.steps", 64)
     if steps < 8:
-        raise ScenarioParseError(
-            "sweep.steps must be >= 8", key="sweep.steps", line=entries.line_of("sweep.steps")
-        )
+        raise entries.error("sweep.steps", "sweep.steps must be >= 8")
     start = entries.take_float("sweep.start", 0.0)
     stop = entries.take_float("sweep.stop", math.tau)
+    for key, value in (("sweep.start", start), ("sweep.stop", stop)):
+        if not math.isfinite(value):
+            raise entries.error(key, f"{key} must be finite, got {value}")
     if not stop > start:
-        raise ScenarioParseError(
-            "sweep.stop must exceed sweep.start", key="sweep.stop", line=entries.line_of("sweep.stop")
-        )
+        raise entries.error("sweep.stop", "sweep.stop must exceed sweep.start")
+    if not math.isfinite(stop - start):
+        raise entries.error("sweep.stop", "sweep.stop - sweep.start overflows")
     return SweepSpec(variable, start, stop, steps)
 
 
@@ -229,17 +233,12 @@ def _parse_entangle_grid(entries: _Entries) -> tuple[float, ...] | None:
     found = entries.take("entangle.grid")
     if found is None:
         return None
-    value, line = found
     try:
-        grid = tuple(float(part) for part in value.split(","))
+        grid = tuple(float(part) for part in found[0].split(","))
     except ValueError:
-        raise ScenarioParseError(
-            "expected comma-separated numbers", key="entangle.grid", line=line
-        )
+        raise entries.error("entangle.grid", "expected comma-separated numbers")
     if any(not 0.0 <= t <= 1.0 for t in grid):
-        raise ScenarioParseError(
-            "grid transmissions must lie in [0, 1]", key="entangle.grid", line=line
-        )
+        raise entries.error("entangle.grid", "grid transmissions must lie in [0, 1]")
     return grid
 
 
@@ -256,36 +255,30 @@ def _parse_oracle(entries: _Entries) -> OracleSpec:
     )
     for key, value, low, high in checks:
         if not low <= value <= high:
-            raise ScenarioParseError(
-                f"value must lie in [{low}, {high}]", key=key, line=entries.line_of(key)
-            )
+            raise entries.error(key, f"value must lie in [{low}, {high}]")
     return spec
 
 
 def _validate_target(name: str, scheme: SchemeConfig | None, entries: _Entries) -> None:
-    line = entries.line_of("target")
     if name not in TARGET_NAMES:
-        raise ScenarioParseError(
-            f"unknown target {name!r} (expected one of {', '.join(TARGET_NAMES)})",
-            key="target",
-            line=line,
+        raise entries.error(
+            "target", f"unknown target {name!r} (expected one of {', '.join(TARGET_NAMES)})"
         )
     if scheme is None:
         return
     n = scheme.n_detected
     needs = {"Psi+": n == 2, "Phi-": n == 2, "GHZ3": n == 3}
     if name in needs and not needs[name]:
-        raise ScenarioParseError(
+        raise entries.error(
+            "target",
             f"target {name} needs {'two' if name != 'GHZ3' else 'three'} detected particles, "
             f"scheme has {n}",
-            key="target",
-            line=line,
         )
     if name.startswith("F"):
         try:
             EntangledClass(EntangledClassId(name), n)
         except ValueError as exc:
-            raise ScenarioParseError(str(exc), key="target", line=line)
+            raise entries.error("target", str(exc))
 
 
 def parse_scenario(text: str) -> Scenario:
@@ -297,30 +290,22 @@ def parse_scenario(text: str) -> Scenario:
     entries = _Entries(text)
     command = entries.take_str("command")
     if command is None:
-        raise ScenarioParseError("missing key", key="command")
+        raise entries.error("command", "missing key")
     if command not in COMMANDS:
-        raise ScenarioParseError(
-            f"unknown command {command!r} (expected one of {', '.join(COMMANDS)})",
-            key="command",
-            line=entries.line_of("command"),
+        raise entries.error(
+            "command", f"unknown command {command!r} (expected one of {', '.join(COMMANDS)})"
         )
 
     scheme = _parse_scheme(entries, required=command != "oracle-check")
     if command != "oracle-check" and scheme.n_detected == 0:
-        raise ScenarioParseError(
-            "the scheme must leave at least one detected particle (m < n)",
-            key="scheme.m",
-            line=entries.line_of("scheme.m"),
+        raise entries.error(
+            "scheme.m", "the scheme must leave at least one detected particle (m < n)"
         )
 
     sweep = _parse_sweep(entries, scheme) if command == "sweep" else None
     for key in entries.matching("sweep."):
         if command != "sweep":
-            raise ScenarioParseError(
-                "sweep settings are only valid with 'command = sweep'",
-                key=key,
-                line=entries.line_of(key),
-            )
+            raise entries.error(key, "sweep settings are only valid with 'command = sweep'")
 
     entangle_grid = _parse_entangle_grid(entries) if command == "entangle" else None
     oracle = _parse_oracle(entries) if command == "oracle-check" else None
@@ -332,20 +317,20 @@ def parse_scenario(text: str) -> Scenario:
     output_path = entries.take_str("output")
 
     for key in entries.unconsumed():
-        raise ScenarioParseError("unknown key", key=key, line=entries.line_of(key))
+        raise entries.error(key, "unknown key")
 
     if command == "entangle":
         if scheme.n_aligned < 1:
-            raise ScenarioParseError(
-                "entangle needs at least one aligned particle",
-                key="scheme.m",
-                line=entries.line_of("scheme.m"),
-            )
+            raise entries.error("scheme.m", "entangle needs at least one aligned particle")
         if scheme.n_detected not in (2, 3):
-            raise ScenarioParseError(
-                "entangle supports two or three detected particles",
-                key="scheme.n",
-                line=entries.line_of("scheme.n"),
+            raise entries.error("scheme.n", "entangle supports two or three detected particles")
+        # below t = 1 every particle spans two labels (d/d' detected, a/v aligned)
+        grid = entangle_grid or DEFAULT_ENTANGLE_GRID
+        if min(grid) < 1.0 and 2**scheme.n_particles > MAX_DENSITY_DIM:
+            raise entries.error(
+                "scheme.n",
+                f"a grid transmission below 1 needs a density matrix over "
+                f"2^{scheme.n_particles} states, above the cap {MAX_DENSITY_DIM}",
             )
 
     return Scenario(
@@ -394,19 +379,14 @@ def _cmd_run(scenario: Scenario, path: str) -> int:
     return EXIT_OK
 
 
-def _sweep_grid(spec: SweepSpec) -> list[float]:
-    width = (spec.stop - spec.start) / spec.steps
-    return [spec.start + k * width for k in range(spec.steps)]
-
-
 def _cmd_sweep(scenario: Scenario, path: str) -> int:
     scheme, spec = scenario.scheme, scenario.sweep
     outcomes = DetectionOutcome.all_outcomes(scheme.n_detected)
     lines = ["phase," + ",".join(f"P_{o.bitstring()}" for o in outcomes) + ",P_loss"]
-    for phase in _sweep_grid(spec):
-        state = run_scheme(scheme.replace_phase(spec.variable, phase))
-        table, lost = detection_table(state)
-        row = [table[o] for o in outcomes]
+    width = (spec.stop - spec.start) / spec.steps
+    grid = [spec.start + k * width for k in range(spec.steps)]
+    for phase, (_, loss_free, lost) in sweep_probabilities(scheme, spec.variable, grid):
+        row = list(loss_free.values())
         if not _row_sum_ok(row, lost):
             print(f"pisim: probabilities at phase {phase} do not sum to 1", file=sys.stderr)
             return EXIT_NUMERIC
@@ -445,7 +425,7 @@ def _entangle_report(cfg: SchemeConfig, target: PureState | None) -> Entanglemen
 
 def _cmd_entangle(scenario: Scenario) -> list[str]:
     scheme = scenario.scheme
-    grid = scenario.entangle_grid or tuple(k / 10 for k in range(11))
+    grid = scenario.entangle_grid or DEFAULT_ENTANGLE_GRID
     target = _target_state(scenario.target, scheme.n_detected) if scenario.target else None
     lines = ["transmission,visibility,concurrence,fidelity,three_tangle"]
     for t in grid:
@@ -522,6 +502,9 @@ def execute(scenario: Scenario, out_path: str | None = None, seed: int = DEFAULT
     except OSError as exc:
         print(f"pisim: cannot write output: {exc}", file=sys.stderr)
         return EXIT_IO
+    except (NormalizationError, ValidationError) as exc:
+        print(f"pisim: numerical check failed: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
     except PathIdentityError as exc:
         print(f"pisim: {exc}", file=sys.stderr)
         return EXIT_INVALID

@@ -24,7 +24,12 @@ class ValidationError(PathIdentityError):
 
 
 class ConfigError(PathIdentityError):
-    """An interferometer configuration violates its invariants."""
+    """An interferometer configuration violates its invariants.  ``field`` names the
+    offending value (``n``, ``m``, ``phi0``, ``phi.<j>``, ``theta.<l>``, ``transmission.<l>``)."""
+
+    def __init__(self, message: str, *, field: str | None = None):
+        super().__init__(message)
+        self.field = field
 
 
 class StageOrderError(PathIdentityError):

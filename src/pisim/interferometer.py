@@ -12,7 +12,7 @@ import cmath
 import itertools
 import math
 from dataclasses import dataclass, replace
-from typing import Iterator
+from typing import NamedTuple
 
 from .errors import ConfigError, StageOrderError, StructureError
 from .states import (
@@ -38,6 +38,19 @@ MAX_PARTICLES = 16
 _DETECTOR_KINDS = frozenset({LabelKind.DETECTOR_UNPRIMED, LabelKind.DETECTOR_PRIMED})
 
 
+def _real(value: object, field: str, low: float = -math.inf, high: float = math.inf) -> float:
+    """``value`` as a finite float in ``[low, high]``; otherwise a ConfigError naming ``field``."""
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        number = math.nan
+    if not math.isfinite(number):
+        raise ConfigError(f"{field} must be a finite number, got {value!r}", field=field)
+    if not low <= number <= high:
+        raise ConfigError(f"{field} must lie in [{low:g}, {high:g}], got {number}", field=field)
+    return number
+
+
 @dataclass(frozen=True)
 class SchemeConfig:
     """Full experiment description.
@@ -58,31 +71,26 @@ class SchemeConfig:
 
     def __post_init__(self) -> None:
         n, m = self.n_particles, self.n_aligned
-        if not isinstance(n, int) or not isinstance(m, int):
-            raise ConfigError("n_particles and n_aligned must be integers")
-        if n < 1:
-            raise ConfigError(f"n_particles must be >= 1, got {n}")
-        if n > MAX_PARTICLES:
-            raise ConfigError(f"n_particles must be <= {MAX_PARTICLES}, got {n}")
+        for field, count in (("n", n), ("m", m)):
+            if isinstance(count, bool) or not isinstance(count, int):
+                raise ConfigError(f"{field} must be an integer, got {count!r}", field=field)
+        if not 1 <= n <= MAX_PARTICLES:
+            raise ConfigError(f"n_particles must lie in [1, {MAX_PARTICLES}], got {n}", field="n")
         if not 0 <= m <= n:
-            raise ConfigError(f"n_aligned must lie in [0, {n}], got {m}")
+            raise ConfigError(f"n_aligned must lie in [0, {n}], got {m}", field="m")
 
-        phi = tuple(float(x) for x in self.phi) or (0.0,) * (n - m)
-        theta = tuple(float(x) for x in self.theta) or (0.0,) * m
-        trans = self.transmission
-        trans = (1.0,) * m if trans is None else tuple(float(t) for t in trans)
-        if len(phi) != n - m:
-            raise ConfigError(f"phi must have {n - m} entries, got {len(phi)}")
-        if len(theta) != m:
-            raise ConfigError(f"theta must have {m} entries, got {len(theta)}")
-        if len(trans) != m:
-            raise ConfigError(f"transmission must have {m} entries, got {len(trans)}")
-        for name, values in (("phi0", (self.phi0,)), ("phi", phi), ("theta", theta)):
-            if any(not math.isfinite(v) for v in values):
-                raise ConfigError(f"{name} contains a non-finite phase")
-        if any(not 0.0 <= t <= 1.0 for t in trans):
-            raise ConfigError(f"transmission values must lie in [0, 1], got {trans}")
-        object.__setattr__(self, "phi0", float(self.phi0))
+        phi = tuple(self.phi) or (0.0,) * (n - m)
+        theta = tuple(self.theta) or (0.0,) * m
+        trans = (1.0,) * m if self.transmission is None else tuple(self.transmission)
+        sizes = (("phi", phi, n - m), ("theta", theta, m), ("transmission", trans, m))
+        for name, values, size in sizes:
+            if len(values) != size:
+                raise ConfigError(f"{name} must have {size} entries, got {len(values)}", field=name)
+        aligned = range(n - m + 1, n + 1)
+        phi = tuple(_real(x, f"phi.{j}") for j, x in enumerate(phi, 1))
+        theta = tuple(_real(x, f"theta.{l}") for l, x in zip(aligned, theta))
+        trans = tuple(_real(x, f"transmission.{l}", 0.0, 1.0) for l, x in zip(aligned, trans))
+        object.__setattr__(self, "phi0", _real(self.phi0, "phi0"))
         object.__setattr__(self, "phi", phi)
         object.__setattr__(self, "theta", theta)
         object.__setattr__(self, "transmission", trans)
@@ -127,7 +135,6 @@ class SchemeConfig:
         ``variable`` is ``"phi0"``, ``"phi.<j>"`` for a detected particle, or
         ``"theta.<l>"`` for an aligned particle.
         """
-        value = float(value)
         if variable == "phi0":
             return replace(self, phi0=value)
         family, _, tail = variable.partition(".")
@@ -293,38 +300,48 @@ def detected_particles(psi: PureState) -> tuple[int, ...]:
     return tuple(detected)
 
 
-def _iter_port_matches(
-    psi: PureState, outcome: DetectionOutcome
-) -> Iterator[tuple[Outcome, complex]]:
+class OutcomeProbabilities(NamedTuple):
+    """Coincidence probabilities keyed by port tuple (0 unprimed, 1 primed per
+    detected particle) in ascending order: ``marginal`` summed over the
+    undetected aligned and loss modes, ``loss_free`` over terms in which every
+    aligned particle survived, and ``lost``, which completes ``loss_free`` to 1."""
+
+    marginal: dict[tuple[int, ...], float]
+    loss_free: dict[tuple[int, ...], float]
+    lost: float
+
+
+def outcome_probabilities(psi: PureState) -> OutcomeProbabilities:
+    """All coincidence probabilities of ``psi``, with and without loss, in one pass."""
     detected = detected_particles(psi)
     if not detected:
         raise ValueError("state has no detected particles")
-    if len(outcome) != len(detected):
-        raise ValueError(
-            f"outcome has {len(outcome)} ports but the state has {len(detected)} detected particles"
-        )
-    wanted = {
-        particle - 1: (LabelKind.DETECTOR_UNPRIMED if port == 0 else LabelKind.DETECTOR_PRIMED)
-        for particle, port in zip(detected, outcome.ports)
-    }
-    for full_outcome, amp in psi.amplitudes.items():
-        if all(full_outcome[slot].kind == kind for slot, kind in wanted.items()):
-            yield full_outcome, amp
+    slots = [p - 1 for p in detected]
+    undetected = [s for s in range(psi.particle_count) if s + 1 not in detected]
+    primed, loss_kind = LabelKind.DETECTOR_PRIMED, LabelKind.LOSS
+    marginal = dict.fromkeys(itertools.product((0, 1), repeat=len(slots)), 0.0)
+    loss_free, lost = dict(marginal), 0.0
+    for outcome, amp in psi.amplitudes.items():
+        weight = abs(amp) ** 2
+        ports = tuple([outcome[s].kind is primed for s in slots])  # bools key as 0/1
+        marginal[ports] += weight
+        if loss_kind in [outcome[s].kind for s in undetected]:
+            lost += weight
+        else:
+            loss_free[ports] += weight
+    return OutcomeProbabilities(marginal, loss_free, lost)
 
 
 def joint_probability(psi: PureState, outcome: DetectionOutcome) -> float:
     """Probability of the coincidence ``outcome``, summed incoherently over the
     undetected aligned-beam and loss modes."""
-    return sum(abs(amp) ** 2 for _, amp in _iter_port_matches(psi, outcome))
-
-
-def loss_probability(psi: PureState) -> float:
-    """Probability that at least one aligned particle was absorbed."""
-    return sum(
-        abs(amp) ** 2
-        for outcome, amp in psi.amplitudes.items()
-        if any(label.kind == LabelKind.LOSS for label in outcome)
-    )
+    marginal = outcome_probabilities(psi).marginal
+    if outcome.ports not in marginal:
+        n = len(next(iter(marginal)))
+        raise ValueError(
+            f"outcome has {len(outcome)} ports but the state has {n} detected particles"
+        )
+    return marginal[outcome.ports]
 
 
 def detection_table(psi: PureState) -> tuple[dict[DetectionOutcome, float], float]:
@@ -333,22 +350,8 @@ def detection_table(psi: PureState) -> tuple[dict[DetectionOutcome, float], floa
     The per-outcome values count only events in which every aligned particle
     survived, so the table and the loss probability partition unity.
     """
-    detected = detected_particles(psi)
-    if not detected:
-        raise ValueError("state has no detected particles")
-    slots = [p - 1 for p in detected]
-    table = {o: 0.0 for o in DetectionOutcome.all_outcomes(len(detected))}
-    lost = 0.0
-    for outcome, amp in psi.amplitudes.items():
-        weight = abs(amp) ** 2
-        if any(label.kind == LabelKind.LOSS for label in outcome):
-            lost += weight
-            continue
-        ports = tuple(
-            0 if outcome[slot].kind == LabelKind.DETECTOR_UNPRIMED else 1 for slot in slots
-        )
-        table[DetectionOutcome(ports)] += weight
-    return table, lost
+    _, loss_free, lost = outcome_probabilities(psi)
+    return {DetectionOutcome(ports): p for ports, p in loss_free.items()}, lost
 
 
 def conditional_detected_state(psi: PureState) -> DensityMatrix:

@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from pisim import ScenarioParseError
+from pisim import NormalizationError, ScenarioParseError, ValidationError
 from pisim.cli import (
     EXIT_INVALID,
     EXIT_IO,
@@ -35,6 +36,8 @@ sweep.steps = 64
 output = sweep.csv
 """
 
+GOLDEN = Path(__file__).parent / "data"
+
 
 def read_rows(path):
     lines = path.read_text().splitlines()
@@ -59,6 +62,55 @@ class TestParseScenario:
         assert info.value.key == "scheme.transmission.3"
         assert info.value.line == 4
         assert "line 4" in str(info.value)
+
+    @pytest.mark.parametrize(
+        "line, key",
+        [
+            ("scheme.phi.1 = inf", "scheme.phi.1"),
+            ("scheme.phi0 = nan", "scheme.phi0"),
+            ("scheme.theta.3 = -inf", "scheme.theta.3"),
+            ("scheme.transmission.3 = nan", "scheme.transmission.3"),
+        ],
+    )
+    def test_scheme_value_error_names_its_own_key_and_line(self, line, key):
+        text = "command = run\nscheme.n = 3\nscheme.m = 1\n# comment\n" + line + "\n"
+        with pytest.raises(ScenarioParseError) as info:
+            parse_scenario(text)
+        assert info.value.key == key
+        assert info.value.line == 5
+        assert f"line 5, key '{key}'" in str(info.value)
+
+    @pytest.mark.parametrize(
+        "key, value", [("sweep.start", "-inf"), ("sweep.stop", "inf"), ("sweep.start", "nan")]
+    )
+    def test_non_finite_sweep_bounds_rejected(self, key, value):
+        text = CASE_I_SWEEP + f"{key} = {value}\n"
+        with pytest.raises(ScenarioParseError) as info:
+            parse_scenario(text)
+        assert info.value.key == key
+        assert info.value.line == len(CASE_I_SWEEP.splitlines()) + 1
+
+    def test_overflowing_sweep_range_rejected(self):
+        text = CASE_I_SWEEP + "sweep.start = -1e308\nsweep.stop = 1e308\n"
+        with pytest.raises(ScenarioParseError) as info:
+            parse_scenario(text)
+        assert info.value.key == "sweep.stop"
+        assert info.value.line == len(CASE_I_SWEEP.splitlines()) + 2
+
+    @pytest.mark.parametrize("grid", ["entangle.grid = 1,0.5\n", ""])
+    def test_entangle_beyond_density_cap_rejected(self, grid):
+        # 2^13 basis states once an attenuator absorbs; the default grid has t < 1
+        text = "command = entangle\nscheme.n = 13\nscheme.m = 10\n" + grid
+        with pytest.raises(ScenarioParseError) as info:
+            parse_scenario(text)
+        assert info.value.key == "scheme.n"
+        assert info.value.line == 2
+
+    def test_entangle_at_full_transmission_skips_density_cap(self):
+        text = "command = entangle\nscheme.n = 13\nscheme.m = 10\nentangle.grid = 1\n"
+        assert parse_scenario(text).entangle_grid == (1.0,)
+        text = "command = entangle\nscheme.n = 12\nscheme.m = 10\nentangle.grid = 0.5\n"
+        assert parse_scenario(text).entangle_grid == (0.5,)
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ScenarioParseError) as info:
@@ -203,6 +255,32 @@ class TestEntangleCommand:
     def test_entangle_needs_alignment(self):
         with pytest.raises(ScenarioParseError, match="aligned"):
             parse_scenario("command = entangle\nscheme.n = 2\nscheme.m = 0\n")
+
+
+class TestNumericalFailures:
+    @pytest.mark.parametrize("error", [ValidationError, NormalizationError])
+    def test_numerical_errors_exit_numeric(self, tmp_path, monkeypatch, error):
+        import pisim.cli as cli
+
+        def fail(_state):
+            raise error("injected failure")
+
+        monkeypatch.setattr(cli, "conditional_detected_state", fail)
+        text = "command = entangle\nscheme.n = 3\nscheme.m = 1\nentangle.grid = 1\n"
+        out = tmp_path / "ent.csv"
+        assert execute(parse_scenario(text), out_path=str(out)) == EXIT_NUMERIC
+        assert not out.exists()
+
+
+class TestGoldenOutputs:
+    """CSV bytes of fixed scenarios; t < 1 in run and sweep, so loss rows are nonzero."""
+
+    @pytest.mark.parametrize("scenario", sorted(GOLDEN.glob("*.scenario")), ids=lambda p: p.stem)
+    def test_bytes_match(self, tmp_path, scenario):
+        command = parse_scenario(scenario.read_text()).command
+        out = tmp_path / "out.csv"
+        assert main([command, "--scenario", str(scenario), "--out", str(out)]) == EXIT_OK
+        assert out.read_bytes() == scenario.with_suffix(".csv").read_bytes()
 
 
 class TestOracleCommand:

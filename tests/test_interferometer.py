@@ -7,10 +7,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pisim import (
     ConfigError,
     DetectionOutcome,
+    LabelKind,
     SchemeConfig,
     StageOrderError,
     StructureError,
@@ -29,7 +32,7 @@ from pisim import (
     inner_product,
     joint_probability,
     loss,
-    loss_probability,
+    outcome_probabilities,
     primed_detector,
     primed_source_beam,
     pure_state_from_terms,
@@ -68,6 +71,36 @@ class TestSchemeConfig:
     def test_invalid_configs_rejected(self, kwargs):
         with pytest.raises(ConfigError):
             SchemeConfig(**kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs, field",
+        [
+            (dict(n_particles=True, n_aligned=0), "n"),
+            (dict(n_particles=3, n_aligned=False), "m"),
+            (dict(n_particles=3.0, n_aligned=1), "n"),
+            (dict(n_particles=17, n_aligned=0), "n"),
+            (dict(n_particles=3, n_aligned=4), "m"),
+            (dict(n_particles=3, n_aligned=1, phi0=math.inf), "phi0"),
+            (dict(n_particles=3, n_aligned=1, phi0="half"), "phi0"),
+            (dict(n_particles=4, n_aligned=1, phi=(0.0, math.nan, 0.0)), "phi.2"),
+            (dict(n_particles=4, n_aligned=1, phi=(0.0, None, 0.0)), "phi.2"),
+            (dict(n_particles=4, n_aligned=2, theta=(0.0, -math.inf)), "theta.4"),
+            (dict(n_particles=4, n_aligned=2, theta=(1j, 0.0)), "theta.3"),
+            (dict(n_particles=4, n_aligned=2, transmission=(0.5, 1.5)), "transmission.4"),
+            (dict(n_particles=4, n_aligned=2, transmission=("x", 0.5)), "transmission.3"),
+            (dict(n_particles=4, n_aligned=2, transmission=(math.nan, 0.5)), "transmission.3"),
+        ],
+    )
+    def test_config_error_names_the_field(self, kwargs, field):
+        with pytest.raises(ConfigError) as info:
+            SchemeConfig(**kwargs)
+        assert info.value.field == field
+        assert field in str(info.value)
+
+    def test_replace_phase_rejects_non_numeric_value(self):
+        with pytest.raises(ConfigError) as info:
+            SchemeConfig(3, 1).replace_phase("theta.3", "pi")
+        assert info.value.field == "theta.3"
 
     def test_phase_accessors_use_particle_indices(self):
         cfg = SchemeConfig(4, 2, phi0=0.1, phi=(0.2, 0.3), theta=(0.4, 0.5), transmission=(0.8, 0.9))
@@ -266,7 +299,50 @@ class TestJointProbability:
             assert inclusive == pytest.approx(1.0, abs=1e-12)
             table, lost = detection_table(state)
             assert sum(table.values()) + lost == pytest.approx(1.0, abs=1e-12)
-            assert lost == pytest.approx(loss_probability(state), abs=1e-15)
+
+    @given(
+        n_total=st.integers(1, 8),
+        data=st.data(),
+        transmission=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_one_pass_matches_brute_force_sums(self, n_total, data, transmission):
+        m = data.draw(st.integers(0, n_total - 1), label="m")
+        phase = st.floats(-2 * math.pi, 2 * math.pi)
+        cfg = SchemeConfig(
+            n_total,
+            m,
+            phi0=data.draw(phase, label="phi0"),
+            phi=tuple(data.draw(phase) for _ in range(n_total - m)),
+            theta=tuple(data.draw(phase) for _ in range(m)),
+            transmission=(transmission,) * m,
+        )
+        state = run_scheme(cfg)
+        marginal, loss_free, lost = outcome_probabilities(state)
+
+        def ports(full):
+            primed = LabelKind.DETECTOR_PRIMED
+            return tuple(int(full[j - 1].kind == primed) for j in cfg.detected_range)
+
+        def absorbed(full):
+            return any(label.kind == LabelKind.LOSS for label in full)
+
+        def total(keep):
+            # a left-to-right sum in term order, so the pass must match it exactly
+            acc = 0.0
+            for full, amp in state.amplitudes.items():
+                if keep(full):
+                    acc += abs(amp) ** 2
+            return acc
+
+        outcomes = [o.ports for o in DetectionOutcome.all_outcomes(cfg.n_detected)]
+        assert list(marginal) == outcomes and list(loss_free) == outcomes
+        for target in outcomes:
+            assert marginal[target] == total(lambda o: ports(o) == target)
+            assert loss_free[target] == total(lambda o: ports(o) == target and not absorbed(o))
+        assert lost == total(absorbed)
+        if transmission == 1.0 or m == 0:
+            assert lost == 0.0 and loss_free == marginal
 
     def test_outcome_length_must_match(self):
         state = run_scheme(case_i())
