@@ -21,7 +21,6 @@ from .states import (
     DensityMatrix,
     LabelKind,
     PureState,
-    partial_trace,
     pure_state_from_terms,
     to_density,
 )
@@ -158,7 +157,7 @@ def concurrence(rho: DensityMatrix) -> float:
 
 def one_to_rest_concurrence(psi: PureState, particle: int) -> float:
     """Concurrence of one particle with the rest: ``2 sqrt(det rho_k)``."""
-    reduced = partial_trace(to_density(psi), (particle,))
+    reduced = to_density(psi, (particle,))
     matrix = _computational_matrix(reduced)
     determinant = np.linalg.det(matrix).real
     return 2.0 * math.sqrt(max(0.0, determinant))
@@ -175,10 +174,9 @@ def three_tangle(psi: PureState) -> float:
         raise ValueError(f"three_tangle needs a three-particle state, got {psi.particle_count}")
     if not psi.is_normalized:
         raise NormalizationError("three_tangle needs a normalized state")
-    full = to_density(psi)
     one_to_rest = one_to_rest_concurrence(psi, 1)
-    pair_12 = concurrence(partial_trace(full, (1, 2)))
-    pair_13 = concurrence(partial_trace(full, (1, 3)))
+    pair_12 = concurrence(to_density(psi, (1, 2)))
+    pair_13 = concurrence(to_density(psi, (1, 3)))
     return max(0.0, one_to_rest**2 - pair_12**2 - pair_13**2)
 
 
@@ -218,21 +216,3 @@ def pure_state_from_density(rho: DensityMatrix, tol: float = 1e-10) -> PureState
             if abs(vector[i]) > AMPLITUDE_EPSILON
         ]
     )
-
-
-@dataclass(frozen=True)
-class EntanglementReport:
-    """Bundle of entanglement figures for one configuration."""
-
-    concurrence: float
-    three_tangle: float | None = None
-    fidelity_vs_target: float | None = None
-    visibility: float | None = None
-
-    def __post_init__(self) -> None:
-        for name in ("concurrence", "three_tangle", "fidelity_vs_target", "visibility"):
-            value = getattr(self, name)
-            if value is None:
-                continue
-            if not -_PROBABILITY_SLACK <= value <= 1.0 + _PROBABILITY_SLACK:
-                raise ValueError(f"{name} must lie in [0, 1], got {value}")

@@ -18,7 +18,6 @@ from typing import Sequence
 import numpy as np
 
 from .analysis import (
-    EntanglementReport,
     concurrence,
     fidelity,
     pure_state_from_density,
@@ -52,7 +51,6 @@ from .interferometer import (
     run_scheme,
 )
 from .states import (
-    MAX_DENSITY_DIM,
     PureState,
     aligned_beam,
     partial_trace,
@@ -71,7 +69,13 @@ DEFAULT_SEED = 42
 ROW_SUM_TOLERANCE = 1e-9
 ORACLE_TOLERANCE = 1e-9
 _VISIBILITY_STEPS = 64
+#: Rounding allowance on the [0, 1] range of the entanglement figures.
+_FIGURE_SLACK = 1e-9
 DEFAULT_ENTANGLE_GRID = tuple(k / 10 for k in range(11))
+#: Most phase steps a sweep may request; each step runs the scheme once.
+MAX_SWEEP_STEPS = 4096
+#: Most terms per run that ``entangle`` accepts below full transmission.
+MAX_ENTANGLE_TERMS = 4096
 
 
 @dataclass(frozen=True)
@@ -215,8 +219,8 @@ def _parse_sweep(entries: _Entries, scheme: SchemeConfig) -> SweepSpec:
     except ValueError as exc:
         raise entries.error("sweep.variable", str(exc))
     steps = entries.take_int("sweep.steps", 64)
-    if steps < 8:
-        raise entries.error("sweep.steps", "sweep.steps must be >= 8")
+    if not 8 <= steps <= MAX_SWEEP_STEPS:
+        raise entries.error("sweep.steps", f"sweep.steps must lie in [8, {MAX_SWEEP_STEPS}]")
     start = entries.take_float("sweep.start", 0.0)
     stop = entries.take_float("sweep.stop", math.tau)
     for key, value in (("sweep.start", start), ("sweep.stop", stop)):
@@ -324,13 +328,15 @@ def parse_scenario(text: str) -> Scenario:
             raise entries.error("scheme.m", "entangle needs at least one aligned particle")
         if scheme.n_detected not in (2, 3):
             raise entries.error("scheme.n", "entangle supports two or three detected particles")
-        # below t = 1 every particle spans two labels (d/d' detected, a/v aligned)
+        # below t = 1 every particle spans two labels (d/d' detected, a/v aligned), so
+        # each scheme run behind a grid point stores 2^N terms: this bounds run time
         grid = entangle_grid or DEFAULT_ENTANGLE_GRID
-        if min(grid) < 1.0 and 2**scheme.n_particles > MAX_DENSITY_DIM:
+        if min(grid) < 1.0 and 2**scheme.n_particles > MAX_ENTANGLE_TERMS:
             raise entries.error(
                 "scheme.n",
-                f"a grid transmission below 1 needs a density matrix over "
-                f"2^{scheme.n_particles} states, above the cap {MAX_DENSITY_DIM}",
+                f"a grid transmission below 1 makes each of the {_VISIBILITY_STEPS + 1} runs "
+                f"per grid point store 2^{scheme.n_particles} terms, above the limit "
+                f"{MAX_ENTANGLE_TERMS}",
             )
 
     return Scenario(
@@ -395,7 +401,11 @@ def _cmd_sweep(scenario: Scenario, path: str) -> int:
     return EXIT_OK
 
 
-def _entangle_report(cfg: SchemeConfig, target: PureState | None) -> EntanglementReport:
+def _entangle_figures(
+    cfg: SchemeConfig, target: PureState | None
+) -> tuple[float, float, float | None, float | None]:
+    """Visibility, concurrence, fidelity to ``target`` and three-tangle of one
+    configuration, in CSV column order; ``None`` where a figure does not apply."""
     sweep_variable = f"theta.{cfg.n_detected + 1}"
     grid = [k * math.tau / _VISIBILITY_STEPS for k in range(_VISIBILITY_STEPS)]
     curve = sweep_pattern(cfg, sweep_variable, grid)
@@ -415,30 +425,22 @@ def _entangle_report(cfg: SchemeConfig, target: PureState | None) -> Entanglemen
             tangle = None  # mixed state: pure-state tangle undefined
 
     overlap = fidelity(rho, target) if target is not None else None
-    return EntanglementReport(
-        concurrence=pair,
-        three_tangle=tangle,
-        fidelity_vs_target=overlap,
-        visibility=pattern_visibility,
-    )
+    return pattern_visibility, pair, overlap, tangle
 
 
 def _cmd_entangle(scenario: Scenario) -> list[str]:
     scheme = scenario.scheme
     grid = scenario.entangle_grid or DEFAULT_ENTANGLE_GRID
     target = _target_state(scenario.target, scheme.n_detected) if scenario.target else None
-    lines = ["transmission,visibility,concurrence,fidelity,three_tangle"]
+    columns = ("visibility", "concurrence", "fidelity", "three_tangle")
+    lines = ["transmission," + ",".join(columns)]
     for t in grid:
         cfg = replace(scheme, transmission=(t,) * scheme.n_aligned)
-        report = _entangle_report(cfg, target)
-        cells = [
-            _fmt(t),
-            _fmt(report.visibility),
-            _fmt(report.concurrence),
-            "" if report.fidelity_vs_target is None else _fmt(report.fidelity_vs_target),
-            "" if report.three_tangle is None else _fmt(report.three_tangle),
-        ]
-        lines.append(",".join(cells))
+        figures = _entangle_figures(cfg, target)
+        for name, value in zip(columns, figures):
+            if value is not None and not -_FIGURE_SLACK <= value <= 1.0 + _FIGURE_SLACK:
+                raise ValidationError(f"{name} must lie in [0, 1], got {value}")
+        lines.append(",".join([_fmt(t)] + ["" if v is None else _fmt(v) for v in figures]))
     return lines
 
 

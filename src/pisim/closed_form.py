@@ -29,18 +29,13 @@ class EntangledClassId(Enum):
     F4 = "F4"
 
 
-@dataclass(frozen=True)
-class DickeIndex:
-    """Number of detected particles ``n`` and of primed ports ``r``."""
-
-    n: int
-    r: int
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"n must be >= 1, got {self.n}")
-        if not 0 <= self.r <= self.n:
-            raise ValueError(f"r must lie in [0, {self.n}], got {self.r}")
+def _check_dicke_index(n: int, r: int) -> None:
+    """Reject a detected-particle count ``n`` below 1 or a primed-port count ``r``
+    outside ``[0, n]``."""
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    if not 0 <= r <= n:
+        raise ValueError(f"r must lie in [0, {n}], got {r}")
 
 
 @dataclass(frozen=True)
@@ -70,11 +65,11 @@ class EntangledClass:
 
 def dicke_state(n: int, r: int) -> PureState:
     """Normalized equal superposition of all detector outcomes with ``r`` primed ports."""
-    index = DickeIndex(n, r)
-    amp = 1.0 / math.sqrt(math.comb(index.n, index.r))
+    _check_dicke_index(n, r)
+    amp = 1.0 / math.sqrt(math.comb(n, r))
     terms = []
-    for primed_slots in itertools.combinations(range(index.n), index.r):
-        ports = tuple(1 if k in primed_slots else 0 for k in range(index.n))
+    for primed_slots in itertools.combinations(range(n), r):
+        ports = tuple(1 if k in primed_slots else 0 for k in range(n))
         terms.append((detector_outcome(ports), amp))
     return pure_state_from_terms(terms)
 
@@ -136,8 +131,8 @@ def xi_for_class(n: int, class_id: EntangledClassId, m: int = 0) -> float:
 def predicted_probability(n: int, r: int, xi: float) -> float:
     """Coincidence probability of any single outcome with ``r`` primed ports
     at full path identity."""
-    index = DickeIndex(n, r)
-    return (1.0 + math.cos(float(xi) + (index.n - 2 * index.r) * math.pi / 2)) / 2**index.n
+    _check_dicke_index(n, r)
+    return (1.0 + math.cos(float(xi) + (n - 2 * r) * math.pi / 2)) / 2**n
 
 
 def bell_psi_plus() -> PureState:

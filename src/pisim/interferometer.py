@@ -24,7 +24,6 @@ from .states import (
     aligned_beam,
     detector,
     loss,
-    partial_trace,
     primed_detector,
     primed_source_beam,
     pure_state_from_terms,
@@ -290,7 +289,8 @@ def detected_particles(psi: PureState) -> tuple[int, ...]:
     """Particles carrying detector labels in every term of ``psi``."""
     detected = []
     for particle in range(1, psi.particle_count + 1):
-        kinds = {label.kind for label in psi.particle_labels(particle)}
+        slot = particle - 1
+        kinds = {outcome[slot].kind for outcome in psi.amplitudes}
         if kinds <= _DETECTOR_KINDS:
             detected.append(particle)
         elif kinds & _DETECTOR_KINDS:
@@ -359,4 +359,4 @@ def conditional_detected_state(psi: PureState) -> DensityMatrix:
     detected = detected_particles(psi)
     if not detected:
         raise ValueError("state has no detected particles to condition on")
-    return partial_trace(to_density(psi), detected)
+    return to_density(psi, detected)

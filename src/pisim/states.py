@@ -273,17 +273,10 @@ class DensityMatrix:
         object.__setattr__(self, "kept_particles", kept)
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "_index", {o: i for i, o in enumerate(basis)})
 
     @property
     def dim(self) -> int:
         return len(self.basis)
-
-    def index_of(self, outcome: Outcome) -> int:
-        try:
-            return self._index[tuple(outcome)]  # type: ignore[attr-defined]
-        except KeyError:
-            raise ValueError(f"outcome {format_outcome(outcome)} is not in the basis") from None
 
     def __repr__(self) -> str:
         return f"DensityMatrix(particles={self.kept_particles}, dim={self.dim})"
@@ -296,26 +289,51 @@ def _product_basis(label_sets: Sequence[Sequence[PathLabel]]) -> tuple[Outcome, 
     return tuple(itertools.product(*label_sets))
 
 
-def to_density(psi: PureState) -> DensityMatrix:
-    """Projector |psi><psi| over all particles of a normalized state."""
+def _kept(keep: Iterable[int], particles: Sequence[int]) -> tuple[int, ...]:
+    """``keep`` as a nonempty ascending tuple drawn from ``particles``."""
+    keep = tuple(sorted(set(keep)))
+    if not keep:
+        raise ValueError("keep must name at least one particle")
+    missing = [p for p in keep if p not in particles]
+    if missing:
+        raise ValueError(f"particles {missing} are not part of this state")
+    return keep
+
+
+def to_density(psi: PureState, keep: Iterable[int] | None = None) -> DensityMatrix:
+    """Reduced density matrix of a normalized state on the ``keep`` particles
+    (default: every particle, i.e. the projector |psi><psi|).
+
+    Built from the sparse terms: each group of terms sharing their labels on
+    the traced particles adds one outer product over the kept particles'
+    product basis, in ascending order of those labels.  That is the order in
+    which :func:`partial_trace` of the full projector sums them, so both give
+    the same matrix bit for bit.
+    """
     if not psi.is_normalized:
         raise NormalizationError(f"state norm is {psi.norm():.15g}, expected 1")
-    label_sets = [psi.particle_labels(p) for p in range(1, psi.particle_count + 1)]
-    basis = _product_basis(label_sets)
-    vector = np.array([psi.amplitude(o) for o in basis], dtype=complex)
-    return DensityMatrix(
-        tuple(range(1, psi.particle_count + 1)), basis, np.outer(vector, vector.conj())
-    )
+    particles = range(1, psi.particle_count + 1)
+    keep = tuple(particles) if keep is None else _kept(keep, particles)
+    kept_slots = [p - 1 for p in keep]
+    traced_slots = [p - 1 for p in particles if p not in keep]
+    basis = _product_basis([psi.particle_labels(p) for p in keep])
+    index = {o: i for i, o in enumerate(basis)}
+    groups: dict[Outcome, list[tuple[int, complex]]] = {}
+    for outcome, amp in psi.amplitudes.items():
+        row = index[tuple([outcome[s] for s in kept_slots])]
+        groups.setdefault(tuple([outcome[s] for s in traced_slots]), []).append((row, amp))
+    matrix = np.zeros((len(basis), len(basis)), dtype=complex)
+    for traced in sorted(groups):
+        rows, amps = zip(*groups[traced])
+        vector = np.zeros(len(basis), dtype=complex)
+        vector[list(rows)] = amps
+        matrix += np.outer(vector, vector.conj())
+    return DensityMatrix(keep, basis, matrix)
 
 
 def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
     """Reduced density matrix on the ``keep`` subset of ``rho.kept_particles``."""
-    keep = tuple(sorted(set(keep)))
-    if not keep:
-        raise ValueError("keep must name at least one particle")
-    missing = [p for p in keep if p not in rho.kept_particles]
-    if missing:
-        raise ValueError(f"particles {missing} are not part of this density matrix")
+    keep = _kept(keep, rho.kept_particles)
     if keep == rho.kept_particles:
         return rho
 

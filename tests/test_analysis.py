@@ -12,7 +12,6 @@ from pisim import (
     DetectionOutcome,
     EntangledClass,
     EntangledClassId,
-    EntanglementReport,
     NormalizationError,
     PatternCurve,
     SchemeConfig,
@@ -282,12 +281,3 @@ class TestPureStateFromDensity:
     def test_mixed_state_rejected(self):
         with pytest.raises(ValueError):
             pure_state_from_density(even_parity_mixture(0.5))
-
-
-class TestEntanglementReport:
-    def test_bounds_enforced(self):
-        EntanglementReport(concurrence=1.0, visibility=0.5)
-        with pytest.raises(ValueError):
-            EntanglementReport(concurrence=1.5)
-        with pytest.raises(ValueError):
-            EntanglementReport(concurrence=0.5, three_tangle=-0.2)

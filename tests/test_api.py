@@ -1,0 +1,37 @@
+"""Every exported name resolves, and every function the benchmark trace wraps exists."""
+
+from __future__ import annotations
+
+import importlib
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+import pisim
+
+SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+
+
+def _traced_functions() -> list[tuple[str, str]]:
+    # spans.py imports only the standard library, so it loads on its own; its
+    # dataclasses look their module up in sys.modules while they are built
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+    spans = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = spans
+    try:
+        spec.loader.exec_module(spans)
+    finally:
+        del sys.modules[spec.name]
+    return [(module, name) for module, names in spans.TRACED.items() for name in names]
+
+
+@pytest.mark.parametrize("name", pisim.__all__)
+def test_exported_name_resolves(name):
+    assert hasattr(pisim, name)
+
+
+@pytest.mark.parametrize("module,name", _traced_functions())
+def test_traced_function_exists(module, name):
+    assert callable(getattr(importlib.import_module(f"pisim.{module}"), name, None))

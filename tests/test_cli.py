@@ -14,6 +14,7 @@ from pisim.cli import (
     EXIT_IO,
     EXIT_NUMERIC,
     EXIT_OK,
+    MAX_SWEEP_STEPS,
     execute,
     main,
     parse_scenario,
@@ -139,6 +140,15 @@ class TestParseScenario:
         text = CASE_I_SWEEP.replace("sweep.steps = 64", "sweep.steps = 4")
         with pytest.raises(ScenarioParseError, match="steps"):
             parse_scenario(text)
+
+    def test_sweep_steps_maximum(self):
+        text = CASE_I_SWEEP.replace("sweep.steps = 64", f"sweep.steps = {MAX_SWEEP_STEPS}")
+        assert parse_scenario(text).sweep.steps == MAX_SWEEP_STEPS
+        text = CASE_I_SWEEP.replace("sweep.steps = 64", f"sweep.steps = {MAX_SWEEP_STEPS + 1}")
+        with pytest.raises(ScenarioParseError) as info:
+            parse_scenario(text)
+        assert info.value.key == "sweep.steps"
+        assert info.value.line == CASE_I_SWEEP.splitlines().index("sweep.steps = 64") + 1
 
     def test_sweep_variable_must_exist(self):
         text = CASE_I_SWEEP.replace("theta.3", "theta.2")
@@ -266,6 +276,15 @@ class TestNumericalFailures:
             raise error("injected failure")
 
         monkeypatch.setattr(cli, "conditional_detected_state", fail)
+        text = "command = entangle\nscheme.n = 3\nscheme.m = 1\nentangle.grid = 1\n"
+        out = tmp_path / "ent.csv"
+        assert execute(parse_scenario(text), out_path=str(out)) == EXIT_NUMERIC
+        assert not out.exists()
+
+    def test_entanglement_figure_out_of_range_exits_numeric(self, tmp_path, monkeypatch):
+        import pisim.cli as cli
+
+        monkeypatch.setattr(cli, "concurrence", lambda _rho: 1.5)
         text = "command = entangle\nscheme.n = 3\nscheme.m = 1\nentangle.grid = 1\n"
         out = tmp_path / "ent.csv"
         assert execute(parse_scenario(text), out_path=str(out)) == EXIT_NUMERIC

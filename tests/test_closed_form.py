@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from pisim import (
-    DickeIndex,
     EntangledClass,
     EntangledClassId,
     SchemeConfig,
@@ -70,7 +69,9 @@ class TestDickeState:
     @pytest.mark.parametrize("n,r", [(0, 0), (2, -1), (2, 3)])
     def test_invalid_index_rejected(self, n, r):
         with pytest.raises(ValueError):
-            DickeIndex(n, r)
+            dicke_state(n, r)
+        with pytest.raises(ValueError):
+            predicted_probability(n, r, 0.0)
 
 
 class TestPredictedOutputState:

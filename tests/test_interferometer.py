@@ -400,6 +400,15 @@ class TestConditionalDetectedState:
         with pytest.raises(ValueError):
             conditional_detected_state(psi)
 
+    def test_reduces_without_the_full_projector(self):
+        # 2^13 outcomes span the joint state, above the density cap; the
+        # detected state over 2^8 outcomes is built without it
+        cfg = SchemeConfig(13, 5, phi0=0.3, transmission=(0.5,) * 5)
+        rho = conditional_detected_state(run_scheme(cfg))
+        assert rho.kept_particles == tuple(range(1, 9))
+        assert rho.dim == 256
+        assert rho.matrix.trace().real == pytest.approx(1.0, abs=1e-12)
+
 
 class TestStageInvariants:
     def test_every_stage_preserves_norm(self):

@@ -15,6 +15,7 @@ from pisim import (
     EmptyStateError,
     NormalizationError,
     PureState,
+    SchemeConfig,
     StructureError,
     ValidationError,
     aligned_beam,
@@ -26,6 +27,7 @@ from pisim import (
     primed_detector,
     primed_source_beam,
     pure_state_from_terms,
+    run_scheme,
     source_beam,
     state_fidelity,
     to_density,
@@ -225,6 +227,77 @@ class TestToDensity:
         )
         vector = np.array([target.amplitude(o) for o in rho.basis])
         assert (vector.conj() @ rho.matrix @ vector).real == pytest.approx(1.0, abs=1e-12)
+
+
+@st.composite
+def mode_states(draw):
+    """Normalized states whose particles each carry detector, aligned or loss
+    labels, so the detected particles need not come first."""
+    count = draw(st.integers(1, 5))
+    pools = [
+        st.sampled_from((detector(p), primed_detector(p), aligned_beam(p), loss(p)))
+        for p in range(1, count + 1)
+    ]
+    outcomes = draw(st.lists(st.tuples(*pools), min_size=1, max_size=12, unique=True))
+    magnitude = st.floats(0.1, 1.0)
+    amps = [complex(draw(magnitude), draw(magnitude)) for _ in outcomes]
+    return pure_state_from_terms(zip(outcomes, amps)).normalized()
+
+
+class TestReducedDensity:
+    """``to_density(psi, keep)`` against the full projector reduced by ``partial_trace``."""
+
+    @staticmethod
+    def assert_matches_reference(psi: PureState, keep) -> None:
+        direct = to_density(psi, keep)
+        reference = partial_trace(to_density(psi), keep)
+        assert direct.kept_particles == reference.kept_particles
+        assert direct.basis == reference.basis
+        assert np.array_equal(direct.matrix, reference.matrix)
+
+    @given(
+        n_total=st.integers(1, 8),
+        data=st.data(),
+        transmission=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_scheme_output_matches_partial_trace(self, n_total, data, transmission):
+        m = data.draw(st.integers(0, n_total - 1), label="m")
+        phase = st.floats(-2 * math.pi, 2 * math.pi)
+        cfg = SchemeConfig(
+            n_total,
+            m,
+            phi0=data.draw(phase, label="phi0"),
+            phi=tuple(data.draw(phase) for _ in range(n_total - m)),
+            theta=tuple(data.draw(phase) for _ in range(m)),
+            transmission=(transmission,) * m,
+        )
+        keep = data.draw(st.sets(st.integers(1, n_total), min_size=1), label="keep")
+        self.assert_matches_reference(run_scheme(cfg), keep)
+
+    @given(psi=mode_states(), data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_mode_state_matches_partial_trace(self, psi, data):
+        particles = st.integers(1, psi.particle_count)
+        keep = data.draw(st.sets(particles, min_size=1), label="keep")
+        self.assert_matches_reference(psi, keep)
+
+    def test_detected_particles_after_an_aligned_one(self):
+        psi = pure_state_from_terms(
+            [
+                ((aligned_beam(1), detector(2), loss(3), primed_detector(4)), 0.6),
+                ((loss(1), primed_detector(2), aligned_beam(3), detector(4)), 0.8j),
+            ]
+        )
+        rho = to_density(psi, (2, 4))
+        assert rho.kept_particles == (2, 4)
+        np.testing.assert_allclose(np.diag(rho.matrix).real, [0.0, 0.36, 0.64, 0.0])
+        self.assert_matches_reference(psi, (2, 4))
+
+    @pytest.mark.parametrize("keep", [(), (3,), (0, 1)])
+    def test_keep_must_name_particles_of_the_state(self, keep):
+        with pytest.raises(ValueError):
+            to_density(bell_psi_plus(), keep)
 
 
 class TestPartialTrace:
