@@ -74,6 +74,8 @@ _FIGURE_SLACK = 1e-9
 DEFAULT_ENTANGLE_GRID = tuple(k / 10 for k in range(11))
 #: Most phase steps a sweep may request; each step runs the scheme once.
 MAX_SWEEP_STEPS = 4096
+#: Most terms a sweep's scheme runs may store in all: steps times terms per run.
+MAX_SWEEP_TERMS = 2**20
 #: Most terms per run that ``entangle`` accepts below full transmission.
 MAX_ENTANGLE_TERMS = 4096
 
@@ -221,6 +223,16 @@ def _parse_sweep(entries: _Entries, scheme: SchemeConfig) -> SweepSpec:
     steps = entries.take_int("sweep.steps", 64)
     if not 8 <= steps <= MAX_SWEEP_STEPS:
         raise entries.error("sweep.steps", f"sweep.steps must lie in [8, {MAX_SWEEP_STEPS}]")
+    # below t = 1 every particle spans two labels, so a run stores up to 2^N terms;
+    # at t = 1 the aligned particles keep one label each and 2^(N-M) remain
+    lossless = all(t == 1.0 for t in scheme.transmission)
+    exponent = scheme.n_detected if lossless else scheme.n_particles
+    if steps * 2**exponent > MAX_SWEEP_TERMS:
+        raise entries.error(
+            "sweep.steps",
+            f"{steps} steps of 2^{exponent} stored terms each exceed the limit of "
+            f"{MAX_SWEEP_TERMS} terms per sweep",
+        )
     start = entries.take_float("sweep.start", 0.0)
     stop = entries.take_float("sweep.stop", math.tau)
     for key, value in (("sweep.start", start), ("sweep.stop", stop)):

@@ -226,15 +226,17 @@ def apply_path_identity(
     phase = cmath.exp(1j * theta)
     passed = float(transmission)
     lost = math.sqrt(max(0.0, 1.0 - passed * passed))
+    aligned = aligned_beam(particle)
+    absorbed = loss(particle)
     terms: list[tuple[Outcome, complex]] = []
     for outcome, amp in psi.amplitudes.items():
         label = outcome[slot]
         _require_source_stage(label, particle, "align")
         if label.kind == LabelKind.SOURCE_BEAM:
-            terms.append((_with_label(outcome, slot, aligned_beam(particle)), amp * phase * passed))
-            terms.append((_with_label(outcome, slot, loss(particle)), amp * phase * lost))
+            terms.append((_with_label(outcome, slot, aligned), amp * phase * passed))
+            terms.append((_with_label(outcome, slot, absorbed), amp * phase * lost))
         else:
-            terms.append((_with_label(outcome, slot, aligned_beam(particle)), amp))
+            terms.append((_with_label(outcome, slot, aligned), amp))
     return pure_state_from_terms(terms)
 
 

@@ -8,6 +8,7 @@ arrays over the product basis actually spanned by their source states.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -56,22 +57,57 @@ _KIND_GLYPHS = {
 }
 
 
-@dataclass(frozen=True, order=True)
+@functools.total_ordering
 class PathLabel:
-    """A single-particle mode: source beam, detector port, aligned beam, or loss mode."""
+    """A single-particle mode: source beam, detector port, aligned beam, or loss mode.
 
+    Labels are interned: ``PathLabel(kind, index)`` returns the one instance
+    for that pair, so equality and hashing are object identity and outcome
+    tuples hash and compare without calling back into Python.  Immutable,
+    ordered by ``(kind, index)``; pickling and copying return the same object.
+    """
+
+    __slots__ = ("kind", "index")
     kind: LabelKind
     index: int
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.index, int) or self.index < 1:
-            raise ValueError(f"label index must be a positive integer, got {self.index!r}")
+    def __new__(cls, kind: LabelKind, index: int) -> PathLabel:
+        if type(kind) is not LabelKind:
+            raise ValueError(f"label kind must be a LabelKind member, got {kind!r}")
+        if isinstance(index, bool) or not isinstance(index, int) or index < 1:
+            raise ValueError(f"label index must be a positive integer, got {index!r}")
+        label = _LABELS.get((kind, index))
+        if label is None:
+            label = object.__new__(cls)
+            object.__setattr__(label, "kind", kind)
+            object.__setattr__(label, "index", index)
+            # setdefault: two threads building one label both get the first instance
+            label = _LABELS.setdefault((kind, index), label)
+        return label
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of an immutable PathLabel")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r} of an immutable PathLabel")
+
+    def __reduce__(self) -> tuple[type[PathLabel], tuple[LabelKind, int]]:
+        return PathLabel, (self.kind, self.index)
+
+    def __lt__(self, other: object) -> bool:
+        if other.__class__ is not PathLabel:
+            return NotImplemented
+        return (self.kind, self.index) < (other.kind, other.index)
 
     def __str__(self) -> str:
         return _KIND_GLYPHS[self.kind].format(self.index)
 
     def __repr__(self) -> str:
         return f"PathLabel({self})"
+
+
+#: The one :class:`PathLabel` built for each ``(kind, index)`` pair.
+_LABELS: dict[tuple[LabelKind, int], PathLabel] = {}
 
 
 def source_beam(j: int) -> PathLabel:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from pisim import (
@@ -23,6 +25,13 @@ def case_i(
 ) -> SchemeConfig:
     """Three particles, one aligned: the workhorse two-detected configuration."""
     return SchemeConfig(3, 1, phi0=phi0, phi=(phi1, phi2), theta=(theta3,), transmission=(t3,))
+
+
+def attenuated_coincidence(n: int, r: int, total_t: float, xi: float) -> float:
+    """Loss-free probability of one outcome with ``r`` primed ports out of ``n``
+    detected, at total transmission ``total_t`` = prod(t_l) and phase ``xi``:
+    (1 + T^2 + 2T cos(xi + (n - 2r) pi/2)) / 2^(n+1).  The loss is (1 - T^2)/2."""
+    return (1 + total_t**2 + 2 * total_t * math.cos(xi + (n - 2 * r) * math.pi / 2)) / 2 ** (n + 1)
 
 
 def random_detector_state(rng: np.random.Generator, particles: int) -> PureState:

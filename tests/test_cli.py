@@ -15,10 +15,12 @@ from pisim.cli import (
     EXIT_NUMERIC,
     EXIT_OK,
     MAX_SWEEP_STEPS,
+    MAX_SWEEP_TERMS,
     execute,
     main,
     parse_scenario,
 )
+from conftest import attenuated_coincidence
 
 CASE_I_RUN = """
 # minimal two-detected configuration
@@ -150,6 +152,35 @@ class TestParseScenario:
         assert info.value.key == "sweep.steps"
         assert info.value.line == CASE_I_SWEEP.splitlines().index("sweep.steps = 64") + 1
 
+    @pytest.mark.parametrize(
+        "m, transmission, steps",
+        [(8, 0.5, 16), (8, 1.0, 4096), (7, 1.0, 2048), (15, 1.0, 4096)],
+    )
+    def test_sweep_term_bound_accepts(self, m, transmission, steps):
+        text = self._large_sweep(m, transmission, steps)
+        assert parse_scenario(text).sweep.steps == steps
+
+    @pytest.mark.parametrize(
+        "m, transmission, steps",
+        [(8, 0.5, 17), (8, 0.5, 4096), (15, 0.999, 32), (7, 1.0, 2049)],
+    )
+    def test_sweep_term_bound_rejects(self, m, transmission, steps):
+        text = self._large_sweep(m, transmission, steps)
+        with pytest.raises(ScenarioParseError, match=f"limit of {MAX_SWEEP_TERMS}") as info:
+            parse_scenario(text)
+        assert info.value.key == "sweep.steps"
+        assert info.value.line == text.splitlines().index(f"sweep.steps = {steps}") + 1
+
+    @staticmethod
+    def _large_sweep(m, transmission, steps):
+        """A sweep at N = 16 whose last aligned particle has ``transmission``:
+        2^16 stored terms per run below t = 1, 2^(16-m) at t = 1."""
+        return (
+            f"command = sweep\nscheme.n = 16\nscheme.m = {m}\n"
+            f"scheme.transmission.16 = {transmission}\n"
+            f"sweep.variable = phi0\nsweep.steps = {steps}\n"
+        )
+
     def test_sweep_variable_must_exist(self):
         text = CASE_I_SWEEP.replace("theta.3", "theta.2")
         with pytest.raises(ScenarioParseError, match="variable"):
@@ -186,6 +217,28 @@ class TestRunCommand:
         assert values["00"] == pytest.approx(0.0, abs=1e-12)
         assert values["loss"] == pytest.approx(0.0, abs=1e-12)
         assert sum(values.values()) == pytest.approx(1.0, abs=1e-9)
+
+
+class TestLargestRun:
+    def test_largest_accepted_run_matches_closed_form(self, tmp_path):
+        # N = 16 is the parser's limit; every particle carries two labels below
+        # t = 1, so the scheme stores all 2^16 terms
+        trans = (0.9, 0.8, 0.7, 0.95, 0.6, 0.85, 0.75, 0.5)
+        lines = ["command = run", "scheme.n = 16", "scheme.m = 8", "scheme.phi0 = 0.7",
+                 "scheme.phi.3 = 1.9", "scheme.theta.12 = -0.4"]
+        lines += [f"scheme.transmission.{l} = {t}" for l, t in zip(range(9, 17), trans)]
+        scenario, out = tmp_path / "large.scenario", tmp_path / "large.csv"
+        scenario.write_text("\n".join(lines) + "\n")
+        assert main(["run", "--scenario", str(scenario), "--out", str(out)]) == EXIT_OK
+        header, rows = read_rows(out)
+        assert header == ["outcome", "probability"]
+        total_t, xi = math.prod(trans), 0.7 + 1.9 + 0.4
+        assert [row[0] for row in rows[:-1]] == [format(k, "08b") for k in range(256)]
+        for bits, value in rows[:-1]:
+            expected = attenuated_coincidence(8, bits.count("1"), total_t, xi)
+            assert abs(float(value) - expected) <= 1e-12, bits
+        assert rows[-1][0] == "loss"
+        assert abs(float(rows[-1][1]) - (1 - total_t**2) / 2) <= 1e-12
 
 
 class TestSweepCommand:

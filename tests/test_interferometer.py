@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pisim import (
@@ -40,7 +40,7 @@ from pisim import (
     source_beam,
     state_fidelity,
 )
-from conftest import assert_states_close, case_i
+from conftest import assert_states_close, attenuated_coincidence, case_i
 
 ROOT_HALF = math.sqrt(0.5)
 
@@ -373,6 +373,37 @@ class TestJointProbability:
                 )
                 expected = abs(ROOT_HALF * (unprimed + primed)) ** 2
                 assert joint_probability(state, outcome) == pytest.approx(expected, abs=1e-12)
+
+
+EDGE_OR_ANY = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+
+
+class TestClosedFormAtLargeN:
+    @given(
+        n_total=st.integers(2, 14),
+        m_draw=st.integers(1, 13),
+        trans=st.lists(EDGE_OR_ANY, min_size=13, max_size=13),
+        xi_parts=st.tuples(*[st.floats(-2 * math.pi, 2 * math.pi)] * 3),
+    )
+    @example(n_total=14, m_draw=7, trans=[0.9, 0.7, 1.0] * 4 + [0.5], xi_parts=(0.4, 1.1, -0.3))
+    @example(n_total=14, m_draw=1, trans=[0.0] * 13, xi_parts=(2.0, 0.0, 0.5))
+    @example(n_total=14, m_draw=13, trans=[1.0] * 12 + [0.3], xi_parts=(-1.0, 3.0, 0.2))
+    @settings(max_examples=12, deadline=None)
+    def test_detection_table_matches_attenuated_law(self, n_total, m_draw, trans, xi_parts):
+        m = 1 + (m_draw - 1) % (n_total - 1)  # M in 1..N-1 without st.data, so @example works
+        n, trans = n_total - m, tuple(trans[:m])
+        phi0, phi1, theta = xi_parts
+        cfg = SchemeConfig(
+            n_total, m, phi0=phi0, phi=(phi1,) + (0.0,) * (n - 1),
+            theta=(theta,) + (0.0,) * (m - 1), transmission=trans,
+        )
+        table, lost = detection_table(run_scheme(cfg))
+        total_t = math.prod(trans)
+        assert len(table) == 2**n
+        for outcome, p in table.items():
+            expected = attenuated_coincidence(n, sum(outcome.ports), total_t, cfg.xi)
+            assert abs(p - expected) <= 1e-12, outcome.bitstring()
+        assert abs(lost - (1 - total_t**2) / 2) <= 1e-12
 
 
 class TestConditionalDetectedState:

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import cmath
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -13,7 +15,9 @@ from hypothesis import strategies as st
 from pisim import (
     DensityMatrix,
     EmptyStateError,
+    LabelKind,
     NormalizationError,
+    PathLabel,
     PureState,
     SchemeConfig,
     StructureError,
@@ -63,6 +67,80 @@ class TestPathLabel:
         assert str(primed_source_beam(3)) == "b3'"
         assert str(aligned_beam(3)) == "a3"
         assert str(loss(3)) == "v3"
+
+    @pytest.mark.parametrize("index", [True, False, 1.0, "1", None])
+    def test_index_must_be_a_plain_int(self, index):
+        with pytest.raises(ValueError, match="index"):
+            PathLabel(LabelKind.DETECTOR_UNPRIMED, index)
+
+    @pytest.mark.parametrize("kind", [7, 2, "d", None])
+    def test_kind_must_be_a_label_kind(self, kind):
+        with pytest.raises(ValueError, match="kind"):
+            PathLabel(kind, 1)
+
+    def test_rejected_on_every_call(self):
+        assert PathLabel(LabelKind.DETECTOR_UNPRIMED, 1) is detector(1)
+        with pytest.raises(ValueError):
+            PathLabel(LabelKind.DETECTOR_UNPRIMED, True)
+
+
+ALL_KINDS = st.sampled_from(list(LabelKind))
+LABELS = st.builds(PathLabel, ALL_KINDS, st.integers(1, 20))
+
+
+class TestPathLabelInterning:
+    CONSTRUCTORS = {
+        LabelKind.SOURCE_BEAM: source_beam,
+        LabelKind.PRIMED_SOURCE_BEAM: primed_source_beam,
+        LabelKind.DETECTOR_UNPRIMED: detector,
+        LabelKind.DETECTOR_PRIMED: primed_detector,
+        LabelKind.ALIGNED_BEAM: aligned_beam,
+        LabelKind.LOSS: loss,
+    }
+
+    @given(kind=ALL_KINDS, index=st.integers(1, 20))
+    def test_equal_pairs_give_one_object(self, kind, index):
+        label = PathLabel(kind, index)
+        assert PathLabel(kind, index) is label
+        assert self.CONSTRUCTORS[kind](index) is label
+        assert (label.kind, label.index) == (kind, index)
+
+    @given(label=LABELS)
+    def test_pickle_and_copy_return_the_same_object(self, label):
+        assert pickle.loads(pickle.dumps(label)) is label
+        assert copy.copy(label) is label
+        assert copy.deepcopy(label) is label
+        assert copy.deepcopy((label, [label]))[0] is label
+
+    def test_attributes_are_immutable(self):
+        label = detector(2)
+        for name, value in (("kind", LabelKind.LOSS), ("index", 3), ("other", 0)):
+            with pytest.raises(AttributeError):
+                setattr(label, name, value)
+        with pytest.raises(AttributeError):
+            del label.index
+        assert (label.kind, label.index) == (LabelKind.DETECTOR_UNPRIMED, 2)
+
+    @given(labels=st.lists(LABELS, max_size=30))
+    def test_sorted_by_kind_then_index(self, labels):
+        assert sorted(labels) == sorted(labels, key=lambda label: (label.kind, label.index))
+
+    @given(a=LABELS, b=LABELS)
+    def test_order_and_equality_agree_with_pairs(self, a, b):
+        pa, pb = (a.kind, a.index), (b.kind, b.index)
+        assert (a == b) == (pa == pb)
+        assert (a < b, a <= b, a > b, a >= b) == (pa < pb, pa <= pb, pa > pb, pa >= pb)
+        if a == b:
+            assert hash(a) == hash(b)
+
+    def test_comparison_with_other_types(self):
+        assert detector(1) != (LabelKind.DETECTOR_UNPRIMED, 1)
+        with pytest.raises(TypeError):
+            detector(1) < (LabelKind.DETECTOR_UNPRIMED, 1)
+
+    def test_str_and_repr(self):
+        assert str(primed_detector(12)) == "d12'"
+        assert repr(loss(4)) == "PathLabel(v4)"
 
 
 class TestPureStateConstruction:
