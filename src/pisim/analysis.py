@@ -17,7 +17,6 @@ from .interferometer import (
     run_scheme,
 )
 from .states import (
-    AMPLITUDE_EPSILON,
     DensityMatrix,
     LabelKind,
     PureState,
@@ -128,9 +127,7 @@ def _computational_matrix(rho: DensityMatrix) -> np.ndarray:
             value = (value << 1) | _PORT_BITS[label.kind]
         indices.append(value)
     dense = np.zeros((2**k, 2**k), dtype=complex)
-    for i, row in enumerate(indices):
-        for j, col in enumerate(indices):
-            dense[row, col] = rho.matrix[i, j]
+    dense[np.ix_(indices, indices)] = rho.matrix
     return dense
 
 
@@ -209,10 +206,4 @@ def pure_state_from_density(rho: DensityMatrix, tol: float = 1e-10) -> PureState
     vector = eigenvectors[:, -1]
     anchor = vector[int(np.argmax(np.abs(vector)))]
     vector = vector * (anchor.conjugate() / abs(anchor))
-    return pure_state_from_terms(
-        [
-            (outcome, vector[i])
-            for i, outcome in enumerate(rho.basis)
-            if abs(vector[i]) > AMPLITUDE_EPSILON
-        ]
-    )
+    return pure_state_from_terms(zip(rho.basis, vector))

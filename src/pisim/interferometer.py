@@ -191,19 +191,40 @@ def build_two_source_state(cfg: SchemeConfig) -> PureState:
     )
 
 
-def _with_label(outcome: Outcome, slot: int, label: PathLabel) -> Outcome:
-    return outcome[:slot] + (label,) + outcome[slot + 1 :]
-
-
-def _require_source_stage(label: PathLabel, particle: int, operation: str) -> None:
+def _stage_error(label: PathLabel, particle: int, operation: str) -> Exception:
+    """Why a stage cannot act on ``particle`` while its slot carries ``label``."""
     if label.kind in _DETECTOR_KINDS:
-        raise StageOrderError(f"cannot {operation} particle {particle}: it is already detected")
+        return StageOrderError(f"cannot {operation} particle {particle}: it is already detected")
     if label.kind in (LabelKind.ALIGNED_BEAM, LabelKind.LOSS):
-        raise StageOrderError(f"cannot {operation} particle {particle}: it is already aligned")
-    if label.index != particle:
-        raise StructureError(
-            f"slot {particle} carries label {label}, which belongs to particle {label.index}"
-        )
+        return StageOrderError(f"cannot {operation} particle {particle}: it is already aligned")
+    return StructureError(
+        f"slot {particle} carries label {label}, which belongs to particle {label.index}"
+    )
+
+
+def _map_source_beams(
+    psi: PureState, particle: int, operation: str, unprimed: tuple, primed: tuple
+) -> PureState:
+    """Send the source beams b and b' of ``particle`` through an optical element.
+
+    ``unprimed`` and ``primed`` give the element's action on b and b' as
+    ``(phase, ((output label, amplitude), ...))``: a term carrying that beam in
+    the particle's slot becomes one term per branch, with amplitude
+    ``amp * phase * amplitude`` in that order.  Any other label in the slot
+    raises the error of :func:`_stage_error`.
+    """
+    slot = particle - 1
+    beams = {source_beam(particle): unprimed, primed_source_beam(particle): primed}
+    terms: list[tuple[Outcome, complex]] = []
+    for outcome, amp in psi.amplitudes.items():
+        beam = beams.get(outcome[slot])
+        if beam is None:
+            raise _stage_error(outcome[slot], particle, operation)
+        phase, branches = beam
+        head, tail = outcome[:slot], outcome[slot + 1 :]
+        for label, amplitude in branches:
+            terms.append((head + (label,) + tail, amp * phase * amplitude))
+    return pure_state_from_terms(terms)
 
 
 def apply_path_identity(
@@ -222,22 +243,11 @@ def apply_path_identity(
     if not 1 <= particle <= psi.particle_count:
         raise ValueError(f"particle {particle} out of range 1..{psi.particle_count}")
 
-    slot = particle - 1
-    phase = cmath.exp(1j * theta)
     passed = float(transmission)
     lost = math.sqrt(max(0.0, 1.0 - passed * passed))
     aligned = aligned_beam(particle)
-    absorbed = loss(particle)
-    terms: list[tuple[Outcome, complex]] = []
-    for outcome, amp in psi.amplitudes.items():
-        label = outcome[slot]
-        _require_source_stage(label, particle, "align")
-        if label.kind == LabelKind.SOURCE_BEAM:
-            terms.append((_with_label(outcome, slot, aligned), amp * phase * passed))
-            terms.append((_with_label(outcome, slot, absorbed), amp * phase * lost))
-        else:
-            terms.append((_with_label(outcome, slot, aligned), amp))
-    return pure_state_from_terms(terms)
+    unprimed = (cmath.exp(1j * theta), ((aligned, passed), (loss(particle), lost)))
+    return _map_source_beams(psi, particle, "align", unprimed, (1.0, ((aligned, 1.0),)))
 
 
 def apply_beam_splitter(psi: PureState, particle: int, phi: float) -> PureState:
@@ -251,22 +261,11 @@ def apply_beam_splitter(psi: PureState, particle: int, phi: float) -> PureState:
     if not 1 <= particle <= psi.particle_count:
         raise ValueError(f"particle {particle} out of range 1..{psi.particle_count}")
 
-    slot = particle - 1
     half = math.sqrt(0.5)
-    phase = cmath.exp(1j * phi)
-    straight = detector(particle)
-    crossed = primed_detector(particle)
-    terms: list[tuple[Outcome, complex]] = []
-    for outcome, amp in psi.amplitudes.items():
-        label = outcome[slot]
-        _require_source_stage(label, particle, "apply a beam splitter to")
-        if label.kind == LabelKind.SOURCE_BEAM:
-            terms.append((_with_label(outcome, slot, straight), amp * half))
-            terms.append((_with_label(outcome, slot, crossed), amp * half * 1j))
-        else:
-            terms.append((_with_label(outcome, slot, crossed), amp * phase * half))
-            terms.append((_with_label(outcome, slot, straight), amp * phase * half * 1j))
-    return pure_state_from_terms(terms)
+    straight, crossed = detector(particle), primed_detector(particle)
+    unprimed = (1.0, ((straight, half), (crossed, half * 1j)))
+    primed = (cmath.exp(1j * phi), ((crossed, half), (straight, half * 1j)))
+    return _map_source_beams(psi, particle, "apply a beam splitter to", unprimed, primed)
 
 
 def run_scheme(cfg: SchemeConfig) -> PureState:
@@ -291,8 +290,7 @@ def detected_particles(psi: PureState) -> tuple[int, ...]:
     """Particles carrying detector labels in every term of ``psi``."""
     detected = []
     for particle in range(1, psi.particle_count + 1):
-        slot = particle - 1
-        kinds = {outcome[slot].kind for outcome in psi.amplitudes}
+        kinds = {label.kind for label in psi.particle_labels(particle)}
         if kinds <= _DETECTOR_KINDS:
             detected.append(particle)
         elif kinds & _DETECTOR_KINDS:

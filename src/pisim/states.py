@@ -212,9 +212,9 @@ class PureState:
         return abs(self.norm() - 1.0) <= NORM_TOLERANCE
 
     def normalized(self) -> PureState:
-        """Unit-norm copy of this state."""
+        """Unit-norm copy of this state; terms scaled below the threshold are pruned."""
         scale = 1.0 / self.norm()
-        return PureState(self.particle_count, {o: a * scale for o, a in self.amplitudes.items()})
+        return pure_state_from_terms((o, a * scale) for o, a in self.amplitudes.items())
 
     def particle_labels(self, particle: int) -> tuple[PathLabel, ...]:
         """Sorted distinct labels carried by 1-based ``particle`` across all terms."""

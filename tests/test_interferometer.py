@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import cmath
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -241,6 +243,86 @@ class TestApplyBeamSplitter:
         alignedpsi = apply_path_identity(psi, 1, 0.0, 0.5)
         with pytest.raises(StageOrderError, match="already aligned"):
             apply_beam_splitter(alignedpsi, 1, 0.0)
+
+
+_STAGES = {
+    "align": lambda psi, particle: apply_path_identity(psi, particle, 0.3, 0.5),
+    "apply a beam splitter to": lambda psi, particle: apply_beam_splitter(psi, particle, 0.3),
+}
+
+
+class TestStageErrors:
+    """Both stages act on particle 1 only while its slot carries b1 or b1'."""
+
+    @pytest.mark.parametrize("operation", list(_STAGES))
+    @pytest.mark.parametrize(
+        "label, error, reason",
+        [
+            (detector(1), StageOrderError, "already detected"),
+            (primed_detector(1), StageOrderError, "already detected"),
+            (detector(2), StageOrderError, "already detected"),
+            (aligned_beam(1), StageOrderError, "already aligned"),
+            (loss(1), StageOrderError, "already aligned"),
+            (source_beam(2), StructureError, None),
+            (primed_source_beam(2), StructureError, None),
+        ],
+    )
+    def test_offending_label_in_a_later_term(self, operation, label, error, reason):
+        psi = pure_state_from_terms(
+            [
+                ((source_beam(1), source_beam(2)), ROOT_HALF),
+                ((primed_source_beam(1), primed_source_beam(2)), ROOT_HALF),
+                ((label, primed_source_beam(2)), ROOT_HALF),
+            ]
+        )
+        if reason is None:
+            message = f"slot 1 carries label {label}, which belongs to particle {label.index}"
+        else:
+            message = f"cannot {operation} particle 1: it is {reason}"
+        with pytest.raises(error) as caught:
+            _STAGES[operation](psi, 1)
+        assert type(caught.value) is error
+        assert str(caught.value) == message
+
+    @pytest.mark.parametrize("operation", list(_STAGES))
+    @pytest.mark.parametrize("particle", [0, 3, -1])
+    def test_particle_out_of_range(self, operation, particle):
+        psi = build_two_source_state(SchemeConfig(2, 1))
+        with pytest.raises(ValueError) as caught:
+            _STAGES[operation](psi, particle)
+        assert str(caught.value) == f"particle {particle} out of range 1..2"
+
+
+AMPLITUDES = Path(__file__).parent / "data" / "run_scheme_amplitudes.json"
+
+
+class TestPinnedAmplitudes:
+    """``run_scheme`` amplitudes bit for bit, in insertion order.
+
+    Each amplitude is a product of stage factors taken in a fixed order;
+    ``tests/data/run_scheme_amplitudes.json`` stores their ``float.hex`` forms,
+    so a reordered product shows here even where the 12 CSV digits hide it.
+    """
+
+    @pytest.mark.parametrize(
+        "case",
+        json.loads(AMPLITUDES.read_text()),
+        ids=lambda case: f"n{case['n']}-m{case['m']}",
+    )
+    def test_amplitudes_match_bit_for_bit(self, case):
+        cfg = SchemeConfig(
+            case["n"],
+            case["m"],
+            phi0=case["phi0"],
+            phi=tuple(case["phi"]),
+            theta=tuple(case["theta"]),
+            transmission=tuple(case["transmission"]),
+        )
+        got = [
+            [[str(label) for label in outcome], amp.real.hex(), amp.imag.hex()]
+            for outcome, amp in run_scheme(cfg).amplitudes.items()
+        ]
+        assert got == case["terms"]
 
 
 class TestRunScheme:

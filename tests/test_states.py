@@ -197,6 +197,14 @@ class TestPureStateConstruction:
         assert not psi.is_normalized
         assert psi.normalized().is_normalized
 
+    def test_normalized_prunes_terms_scaled_below_threshold(self):
+        # 1.2e-14 survives pruning, but scaled by 1/norm ~ 0.5 it falls below it.
+        tiny, big = (detector(1),), (primed_detector(1),)
+        psi = pure_state_from_terms([(tiny, 1.2e-14), (big, 2.0)]).normalized()
+        assert psi.term_count == 1
+        assert psi.amplitude(tiny) == 0
+        assert psi.amplitude(big) == pytest.approx(1.0, abs=1e-15)
+
 
 class TestInnerProduct:
     def test_normalized_self_overlap(self):
