@@ -4,14 +4,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import NormalizationError, VisibilityUndefinedError
 from .interferometer import (
     DetectionOutcome,
-    OutcomeProbabilities,
     SchemeConfig,
     outcome_probabilities,
     run_scheme,
@@ -65,24 +64,14 @@ class PatternCurve:
         return np.array(self.values[:, column])
 
 
-def sweep_probabilities(
-    cfg: SchemeConfig, variable: str, grid: Iterable[float]
-) -> Iterator[tuple[float, OutcomeProbabilities]]:
-    """Run the scheme at each grid phase in turn and yield the phase with all its
-    coincidence probabilities.
-
-    ``variable`` uses the same identifiers as :meth:`SchemeConfig.replace_phase`.
-    """
-    for value in grid:
-        yield value, outcome_probabilities(run_scheme(cfg.replace_phase(variable, value)))
-
-
 def sweep_pattern(
     cfg: SchemeConfig, variable: str, grid: Sequence[float]
 ) -> PatternCurve:
-    """Loss-inclusive probabilities of every coincidence outcome along a phase sweep."""
+    """Loss-inclusive probabilities of every coincidence outcome along a phase sweep,
+    from one scheme run per phase of ``variable`` (as in :meth:`SchemeConfig.replace_phase`)."""
     grid = [float(g) for g in grid]
-    rows = [list(probs.marginal.values()) for _, probs in sweep_probabilities(cfg, variable, grid)]
+    rows = [outcome_probabilities(run_scheme(cfg.replace_phase(variable, v))) for v in grid]
+    rows = [list(probs.marginal.values()) for probs in rows]
     outcomes = DetectionOutcome.all_outcomes(cfg.n_detected)
     return PatternCurve(variable, tuple(grid), outcomes, np.array(rows))
 

@@ -18,11 +18,10 @@ from typing import Sequence
 import numpy as np
 
 from .analysis import (
+    PatternCurve,
     concurrence,
     fidelity,
     pure_state_from_density,
-    sweep_pattern,
-    sweep_probabilities,
     three_tangle,
     visibility,
 )
@@ -46,8 +45,8 @@ from .interferometer import (
     MAX_PARTICLES,
     DetectionOutcome,
     SchemeConfig,
+    branch_probabilities,
     conditional_detected_state,
-    detection_table,
     run_scheme,
 )
 from .states import (
@@ -72,12 +71,16 @@ _VISIBILITY_STEPS = 64
 #: Rounding allowance on the [0, 1] range of the entanglement figures.
 _FIGURE_SLACK = 1e-9
 DEFAULT_ENTANGLE_GRID = tuple(k / 10 for k in range(11))
-#: Most phase steps a sweep may request; each step runs the scheme once.
+#: Most phase steps a sweep may request.
 MAX_SWEEP_STEPS = 4096
-#: Most terms a sweep's scheme runs may store in all: steps times terms per run.
-MAX_SWEEP_TERMS = 2**20
+#: Most probability cells a sweep may write: steps times 2^(N-M) outcomes.
+MAX_SWEEP_CELLS = 2**20
 #: Most terms per run that ``entangle`` accepts below full transmission.
 MAX_ENTANGLE_TERMS = 4096
+#: Most transmissions an ``entangle`` grid may list.
+MAX_ENTANGLE_GRID = 101
+#: Most scheme runs an oracle check may make: cases per (detected, aligned) pair.
+MAX_ORACLE_RUNS = 5000
 
 
 @dataclass(frozen=True)
@@ -223,15 +226,11 @@ def _parse_sweep(entries: _Entries, scheme: SchemeConfig) -> SweepSpec:
     steps = entries.take_int("sweep.steps", 64)
     if not 8 <= steps <= MAX_SWEEP_STEPS:
         raise entries.error("sweep.steps", f"sweep.steps must lie in [8, {MAX_SWEEP_STEPS}]")
-    # below t = 1 every particle spans two labels, so a run stores up to 2^N terms;
-    # at t = 1 the aligned particles keep one label each and 2^(N-M) remain
-    lossless = all(t == 1.0 for t in scheme.transmission)
-    exponent = scheme.n_detected if lossless else scheme.n_particles
-    if steps * 2**exponent > MAX_SWEEP_TERMS:
+    if steps * 2**scheme.n_detected > MAX_SWEEP_CELLS:
         raise entries.error(
             "sweep.steps",
-            f"{steps} steps of 2^{exponent} stored terms each exceed the limit of "
-            f"{MAX_SWEEP_TERMS} terms per sweep",
+            f"{steps} steps of 2^{scheme.n_detected} outcomes each exceed the limit of "
+            f"{MAX_SWEEP_CELLS} cells per sweep",
         )
     start = entries.take_float("sweep.start", 0.0)
     stop = entries.take_float("sweep.stop", math.tau)
@@ -272,6 +271,9 @@ def _parse_oracle(entries: _Entries) -> OracleSpec:
     for key, value, low, high in checks:
         if not low <= value <= high:
             raise entries.error(key, f"value must lie in [{low}, {high}]")
+    runs = spec.cases * spec.max_detected * (spec.max_aligned + 1)  # one per case and scheme
+    if runs > MAX_ORACLE_RUNS:
+        raise entries.error("oracle.cases", f"{runs} scheme runs exceed {MAX_ORACLE_RUNS}")
     return spec
 
 
@@ -341,15 +343,16 @@ def parse_scenario(text: str) -> Scenario:
         if scheme.n_detected not in (2, 3):
             raise entries.error("scheme.n", "entangle supports two or three detected particles")
         # below t = 1 every particle spans two labels (d/d' detected, a/v aligned), so
-        # each scheme run behind a grid point stores 2^N terms: this bounds run time
+        # the one scheme run behind each grid point's state stores 2^N terms
         grid = entangle_grid or DEFAULT_ENTANGLE_GRID
         if min(grid) < 1.0 and 2**scheme.n_particles > MAX_ENTANGLE_TERMS:
             raise entries.error(
                 "scheme.n",
-                f"a grid transmission below 1 makes each of the {_VISIBILITY_STEPS + 1} runs "
-                f"per grid point store 2^{scheme.n_particles} terms, above the limit "
-                f"{MAX_ENTANGLE_TERMS}",
+                f"a grid transmission below 1 makes the scheme run of each grid point "
+                f"store 2^{scheme.n_particles} terms, above the limit {MAX_ENTANGLE_TERMS}",
             )
+        if len(grid) > MAX_ENTANGLE_GRID:
+            raise entries.error("entangle.grid", f"more than {MAX_ENTANGLE_GRID} grid points")
 
     return Scenario(
         command=command,
@@ -384,31 +387,37 @@ def _row_sum_ok(probabilities: Sequence[float], lost: float) -> bool:
     return abs(sum(probabilities) + lost - 1.0) <= ROW_SUM_TOLERANCE
 
 
+def _fmt_all(values: Sequence[float]) -> list[str]:
+    """``_fmt`` of each value, formatting each distinct value once."""
+    texts: dict[float, str] = {}
+    return [texts[v] if v in texts else texts.setdefault(v, _fmt(v)) for v in values]
+
+
 def _cmd_run(scenario: Scenario, path: str) -> int:
-    state = run_scheme(scenario.scheme)
-    table, lost = detection_table(state)
-    if not _row_sum_ok(list(table.values()), lost):
+    table = branch_probabilities(scenario.scheme)
+    row = table.loss_free[0].tolist()
+    if not _row_sum_ok(row, table.lost):
         print("pisim: outcome probabilities do not sum to 1", file=sys.stderr)
         return EXIT_NUMERIC
-    lines = ["outcome,probability"]
-    lines += [f"{o.bitstring()},{_fmt(p)}" for o, p in table.items()]
-    lines.append(f"loss,{_fmt(lost)}")
-    _write_lines(path, lines)
+    n = scenario.scheme.n_detected
+    lines = ["outcome,probability"] + [f"{x:0{n}b},{p}" for x, p in enumerate(_fmt_all(row))]
+    _write_lines(path, lines + [f"loss,{_fmt(table.lost)}"])
     return EXIT_OK
 
 
 def _cmd_sweep(scenario: Scenario, path: str) -> int:
     scheme, spec = scenario.scheme, scenario.sweep
-    outcomes = DetectionOutcome.all_outcomes(scheme.n_detected)
-    lines = ["phase," + ",".join(f"P_{o.bitstring()}" for o in outcomes) + ",P_loss"]
+    n = scheme.n_detected
+    lines = ["phase," + ",".join(f"P_{x:0{n}b}" for x in range(2**n)) + ",P_loss"]
     width = (spec.stop - spec.start) / spec.steps
     grid = [spec.start + k * width for k in range(spec.steps)]
-    for phase, (_, loss_free, lost) in sweep_probabilities(scheme, spec.variable, grid):
-        row = list(loss_free.values())
-        if not _row_sum_ok(row, lost):
+    table = branch_probabilities(scheme, spec.variable, grid)
+    for phase, values in zip(grid, table.loss_free):
+        row = values.tolist()
+        if not _row_sum_ok(row, table.lost):
             print(f"pisim: probabilities at phase {phase} do not sum to 1", file=sys.stderr)
             return EXIT_NUMERIC
-        lines.append(",".join([_fmt(phase)] + [_fmt(p) for p in row] + [_fmt(lost)]))
+        lines.append(",".join([_fmt(phase)] + _fmt_all(row) + [_fmt(table.lost)]))
     _write_lines(path, lines)
     return EXIT_OK
 
@@ -418,10 +427,11 @@ def _entangle_figures(
 ) -> tuple[float, float, float | None, float | None]:
     """Visibility, concurrence, fidelity to ``target`` and three-tangle of one
     configuration, in CSV column order; ``None`` where a figure does not apply."""
-    sweep_variable = f"theta.{cfg.n_detected + 1}"
-    grid = [k * math.tau / _VISIBILITY_STEPS for k in range(_VISIBILITY_STEPS)]
-    curve = sweep_pattern(cfg, sweep_variable, grid)
-    pattern_visibility = visibility(curve, DetectionOutcome((0,) * cfg.n_detected))
+    variable = f"theta.{cfg.n_detected + 1}"
+    grid = tuple(k * math.tau / _VISIBILITY_STEPS for k in range(_VISIBILITY_STEPS))
+    outcomes = DetectionOutcome.all_outcomes(cfg.n_detected)
+    pattern = branch_probabilities(cfg, variable, grid).marginal
+    pattern_visibility = visibility(PatternCurve(variable, grid, outcomes, pattern), outcomes[0])
 
     rho = conditional_detected_state(run_scheme(cfg))
     if cfg.n_detected == 2:

@@ -12,10 +12,13 @@ import cmath
 import itertools
 import math
 from dataclasses import dataclass, replace
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
+
+import numpy as np
 
 from .errors import ConfigError, StageOrderError, StructureError
 from .states import (
+    AMPLITUDE_EPSILON,
     DensityMatrix,
     LabelKind,
     Outcome,
@@ -330,6 +333,44 @@ def outcome_probabilities(psi: PureState) -> OutcomeProbabilities:
         else:
             loss_free[ports] += weight
     return OutcomeProbabilities(marginal, loss_free, lost)
+
+
+class BranchTable(NamedTuple):
+    """:class:`OutcomeProbabilities` as arrays: a row per phase value, outcomes ascending."""
+
+    loss_free: np.ndarray
+    marginal: np.ndarray
+    lost: float
+
+
+def branch_probabilities(
+    cfg: SchemeConfig, variable: str | None = None, grid: Sequence[float] = ()
+) -> BranchTable:
+    """All coincidence probabilities of ``cfg`` from its two emission branches.
+
+    The output is ``A = (T e^{i sum theta} U + e^{i(phi0 + sum phi)} P)/sqrt(2)`` with
+    ``U = 2^(-n/2) i^r``, ``P = 2^(-n/2) i^(n-r)`` at ``r`` primed ports and ``T = prod t``,
+    plus ``(1 - T^2)/2 |U|^2`` lost; ``|A| <= AMPLITUDE_EPSILON`` cancels, as in the engine.
+    One row per ``grid`` value of the phase ``variable``, or for ``cfg``; n >= 1 detected."""
+    n = cfg.n_detected
+    rows = [[cfg.phi0, *cfg.phi, *(-t for t in cfg.theta)]]  # xi is the sum of a row
+    if variable is not None:
+        cfg.replace_phase(variable, 0.0)  # rejects a phase the scheme does not have
+        family, _, index = variable.partition(".")  # phi0, phi.<j> or theta.<l> is entry 0, j or l
+        slot, sign = int(index or 0), -1.0 if family == "theta" else 1.0
+        rows = [rows[0][:slot] + [sign * v] + rows[0][slot + 1 :] for v in grid]
+    phases = []  # e^(-i xi), xi summed exactly as hi + lo: near a zero |A| is as exact as xi
+    for row in rows:
+        hi = math.fsum(row)
+        phases.append(cmath.exp(-1j * hi) * complex(1.0, -math.fsum(row + [-hi])))
+    total = math.prod(cfg.transmission)
+    # |A|^2 = |1 + T e^(-i xi) i^(2r-n)|^2 / 2^(n+1), r even, odd: flat in xi at T = 0
+    turn = (1, -1j, -1, 1j)[n % 4] * np.array([1.0, -1.0])
+    weight = np.abs(1.0 + total * np.array(phases)[:, None] * turn) ** 2 * 0.5 ** (n + 1)
+    weight[weight <= AMPLITUDE_EPSILON**2] = 0.0
+    loss_free = weight[:, [x.bit_count() & 1 for x in range(2**n)]]
+    lost = (1.0 - total * total) / 2
+    return BranchTable(loss_free, loss_free + lost * 0.5**n, lost)
 
 
 def joint_probability(psi: PureState, outcome: DetectionOutcome) -> float:

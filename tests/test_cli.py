@@ -14,8 +14,10 @@ from pisim.cli import (
     EXIT_IO,
     EXIT_NUMERIC,
     EXIT_OK,
+    MAX_ENTANGLE_GRID,
+    MAX_ORACLE_RUNS,
+    MAX_SWEEP_CELLS,
     MAX_SWEEP_STEPS,
-    MAX_SWEEP_TERMS,
     execute,
     main,
     parse_scenario,
@@ -115,6 +117,31 @@ class TestParseScenario:
         text = "command = entangle\nscheme.n = 12\nscheme.m = 10\nentangle.grid = 0.5\n"
         assert parse_scenario(text).entangle_grid == (0.5,)
 
+    def test_entangle_grid_length_bound(self):
+        text = "command = entangle\nscheme.n = 12\nscheme.m = 10\n# grid\nentangle.grid = "
+        grid = [str(k / MAX_ENTANGLE_GRID) for k in range(MAX_ENTANGLE_GRID)]
+        assert len(parse_scenario(text + ",".join(grid) + "\n").entangle_grid) == MAX_ENTANGLE_GRID
+        with pytest.raises(ScenarioParseError, match=f"more than {MAX_ENTANGLE_GRID}") as info:
+            parse_scenario(text + ",".join(["0.5"] * 100000) + "\n")
+        assert (info.value.key, info.value.line) == ("entangle.grid", 5)
+
+    @pytest.mark.parametrize("cases, runs", [(69, 4968), (100000, 7200000)])
+    def test_oracle_run_bound(self, cases, runs):
+        text = (
+            "command = oracle-check\noracle.max_detected = 8\n"
+            f"oracle.max_aligned = 8\noracle.cases = {cases}\n"
+        )
+        if runs <= MAX_ORACLE_RUNS:
+            assert parse_scenario(text).oracle.cases == cases
+            return
+        with pytest.raises(ScenarioParseError, match=f"{runs} scheme runs exceed") as info:
+            parse_scenario(text)
+        assert (info.value.key, info.value.line) == ("oracle.cases", 4)
+
+    def test_oracle_defaults_within_run_bound(self):
+        spec = parse_scenario("command = oracle-check\n").oracle
+        assert spec.cases * spec.max_detected * (spec.max_aligned + 1) <= MAX_ORACLE_RUNS
+
     def test_unknown_key_rejected(self):
         with pytest.raises(ScenarioParseError) as info:
             parse_scenario(CASE_I_RUN + "scheme.sigma = 1\n")
@@ -154,27 +181,37 @@ class TestParseScenario:
 
     @pytest.mark.parametrize(
         "m, transmission, steps",
-        [(8, 0.5, 16), (8, 1.0, 4096), (7, 1.0, 2048), (15, 1.0, 4096)],
-    )
+        [
+            (8, 0.5, 16), (8, 1.0, 4096), (7, 1.0, 2048), (15, 1.0, 4096),
+            (8, 0.5, 17), (8, 0.5, 4096), (15, 0.999, 32), (1, 0.5, 32),
+        ],
+    )  # fmt: skip
     def test_sweep_term_bound_accepts(self, m, transmission, steps):
         text = self._large_sweep(m, transmission, steps)
         assert parse_scenario(text).sweep.steps == steps
 
     @pytest.mark.parametrize(
         "m, transmission, steps",
-        [(8, 0.5, 17), (8, 0.5, 4096), (15, 0.999, 32), (7, 1.0, 2049)],
+        [(7, 1.0, 2049), (7, 0.5, 2049), (1, 1.0, 33), (1, 0.5, 33)],
     )
     def test_sweep_term_bound_rejects(self, m, transmission, steps):
         text = self._large_sweep(m, transmission, steps)
-        with pytest.raises(ScenarioParseError, match=f"limit of {MAX_SWEEP_TERMS}") as info:
+        with pytest.raises(ScenarioParseError, match=f"limit of {MAX_SWEEP_CELLS}") as info:
             parse_scenario(text)
         assert info.value.key == "sweep.steps"
         assert info.value.line == text.splitlines().index(f"sweep.steps = {steps}") + 1
 
+    def test_sweep_cell_bound_with_every_particle_detected(self):
+        text = "command = sweep\nscheme.n = 16\nscheme.m = 0\nsweep.variable = phi0\n"
+        assert parse_scenario(text + "sweep.steps = 16\n").sweep.steps == 16
+        with pytest.raises(ScenarioParseError, match=f"limit of {MAX_SWEEP_CELLS}") as info:
+            parse_scenario(text + "sweep.steps = 17\n")
+        assert (info.value.key, info.value.line) == ("sweep.steps", 5)
+
     @staticmethod
     def _large_sweep(m, transmission, steps):
         """A sweep at N = 16 whose last aligned particle has ``transmission``:
-        2^16 stored terms per run below t = 1, 2^(16-m) at t = 1."""
+        2^(16-m) probability cells per step, whatever the transmission."""
         return (
             f"command = sweep\nscheme.n = 16\nscheme.m = {m}\n"
             f"scheme.transmission.16 = {transmission}\n"
@@ -239,6 +276,36 @@ class TestLargestRun:
             assert abs(float(value) - expected) <= 1e-12, bits
         assert rows[-1][0] == "loss"
         assert abs(float(rows[-1][1]) - (1 - total_t**2) / 2) <= 1e-12
+
+    def test_run_with_every_particle_detected(self, tmp_path):
+        # 2^16 outcome rows, the most a run writes
+        scenario, out = tmp_path / "wide.scenario", tmp_path / "wide.csv"
+        scenario.write_text("command = run\nscheme.n = 16\nscheme.m = 0\nscheme.phi0 = 0.7\n")
+        assert main(["run", "--scenario", str(scenario), "--out", str(out)]) == EXIT_OK
+        header, rows = read_rows(out)
+        assert len(rows) == 2**16 + 1
+        assert [row[0] for row in rows[:-1]] == [format(k, "016b") for k in range(2**16)]
+        for bits, value in rows[:-1]:
+            expected = attenuated_coincidence(16, bits.count("1"), 1.0, 0.7)
+            assert abs(float(value) - expected) <= 1e-12, bits
+        assert rows[-1] == ["loss", "0"]
+
+    def test_sweep_at_the_cell_bound(self, tmp_path):
+        # 16 steps of 2^16 outcomes: MAX_SWEEP_CELLS probability cells
+        text = "command = sweep\nscheme.n = 16\nscheme.m = 0\nsweep.variable = phi.3\n"
+        scenario, out = tmp_path / "bound.scenario", tmp_path / "bound.csv"
+        scenario.write_text(text + "sweep.steps = 16\n")
+        assert main(["sweep", "--scenario", str(scenario), "--out", str(out)]) == EXIT_OK
+        header, rows = read_rows(out)
+        assert len(rows) * (len(header) - 2) == MAX_SWEEP_CELLS
+        assert header[1] == "P_" + "0" * 16 and header[-2] == "P_" + "1" * 16
+        ports = [column.count("1") for column in header[1:-1]]
+        for k, row in enumerate(rows):
+            xi = k * (math.tau / 16)  # phi.3 is the interference phase here
+            assert row[0] == format(xi, ".12g")
+            expected = {r: attenuated_coincidence(16, r, 1.0, xi) for r in set(ports)}
+            assert all(abs(float(v) - expected[r]) <= 1e-12 for v, r in zip(row[1:-1], ports))
+            assert row[-1] == "0"
 
 
 class TestSweepCommand:
@@ -332,6 +399,32 @@ class TestNumericalFailures:
         text = "command = entangle\nscheme.n = 3\nscheme.m = 1\nentangle.grid = 1\n"
         out = tmp_path / "ent.csv"
         assert execute(parse_scenario(text), out_path=str(out)) == EXIT_NUMERIC
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, text, message",
+        [
+            ("run", CASE_I_RUN, "pisim: outcome probabilities do not sum to 1\n"),
+            ("sweep", CASE_I_SWEEP, "pisim: probabilities at phase 0.0 do not sum to 1\n"),
+        ],
+    )
+    def test_row_off_unity_exits_numeric(
+        self, tmp_path, monkeypatch, capsys, command, text, message
+    ):
+        import pisim.cli as cli
+
+        exact = cli.branch_probabilities
+
+        def skewed(*args, **kwargs):
+            table = exact(*args, **kwargs)
+            return table._replace(loss_free=table.loss_free * 1.001)
+
+        monkeypatch.setattr(cli, "branch_probabilities", skewed)
+        scenario, out = tmp_path / "case.scenario", tmp_path / "out.csv"
+        scenario.write_text(text)
+        capsys.readouterr()
+        assert main([command, "--scenario", str(scenario), "--out", str(out)]) == EXIT_NUMERIC
+        assert capsys.readouterr().err == message
         assert not out.exists()
 
     def test_entanglement_figure_out_of_range_exits_numeric(self, tmp_path, monkeypatch):
