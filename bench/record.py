@@ -1,7 +1,8 @@
 """Record a benchmark trajectory point: ``BENCH_<name>.json``.
 
-Runs ``perfbench/run.py`` of one or more source trees on every workload for
-each seed, interleaved (seed by seed, workload by workload, tree by tree, the
+Runs ``perfbench/run.py`` of one or more source trees on the four workloads
+for each seed, for the ``run_seconds`` that each tree's ``BENCHMARK.json``
+fixes, interleaved (seed by seed, workload by workload, tree by tree, the
 order of the trees reversed on every other seed), and writes per tree and
 workload the median and quartiles of each end-to-end metric, each run's
 value, ``failed`` and ``attempted`` in seed order, the environment lines, the
@@ -15,7 +16,8 @@ commit made with ``git archive``:
         --tree parent=/tmp/parent --commit parent=c9ea3e6 --tree change=.
 
 A tree outside a git checkout records the commit given with ``--commit``, or
-"unknown".
+"unknown"; a checkout with uncommitted changes records its ``-dirty`` hash, so
+record a change after committing it.
 """
 
 from __future__ import annotations
@@ -48,6 +50,11 @@ def commit_of(tree: Path) -> str:
 
 def source_lines(tree: Path) -> int:
     return sum(len(path.read_text().splitlines()) for path in (tree / "src" / "pisim").glob("*.py"))
+
+
+def run_seconds(tree: Path) -> float:
+    """The run length that ``tree``'s own ``BENCHMARK.json`` fixes."""
+    return float(json.loads((tree / "BENCHMARK.json").read_text())["run_seconds"])
 
 
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -97,8 +104,6 @@ def main() -> int:
     parser.add_argument("--tree", action="append", required=True, metavar="LABEL=PATH")
     parser.add_argument("--commit", action="append", default=[], metavar="LABEL=COMMIT")
     parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
-    parser.add_argument("--seconds", type=float, default=24.0)
-    parser.add_argument("--workloads", nargs="+", choices=WORKLOADS, default=list(WORKLOADS))
     args = parser.parse_args()
 
     trees = {}
@@ -106,24 +111,27 @@ def main() -> int:
         label, sep, path = spec.partition("=")
         if not sep or not (Path(path) / "perfbench" / "run.py").is_file():
             parser.error(f"--tree {spec!r} must be LABEL=PATH of a checkout with perfbench/")
+        if not (Path(path) / "BENCHMARK.json").is_file():
+            parser.error(f"--tree {spec!r} has no BENCHMARK.json")
         trees[label] = Path(path).resolve()
     commits = dict(spec.partition("=")[::2] for spec in args.commit)
 
-    runs: dict[str, dict[str, list[dict]]] = {t: {w: [] for w in args.workloads} for t in trees}
+    seconds = {label: run_seconds(tree) for label, tree in trees.items()}
+    runs: dict[str, dict[str, list[dict]]] = {t: {w: [] for w in WORKLOADS} for t in trees}
     for k, seed in enumerate(args.seeds):
-        for workload in args.workloads:
+        for workload in WORKLOADS:
             for label, tree in list(trees.items())[:: -1 if k % 2 else 1]:
-                result = run_once(tree, workload, seed, args.seconds)
+                result = run_once(tree, workload, seed, seconds[label])
                 runs[label][workload].append(result)
                 ops, failed = result["metrics"]["ops_per_s"]["value"], result["failed"]
                 print(f"seed {seed} {workload} {label}: {ops:.4g} ops/s, {failed} failed")
 
     record = {
         "seeds": args.seeds,
-        "seconds": args.seconds,
         "trees": {
             label: {
                 "commit": commits.get(label) or commit_of(tree),
+                "seconds": seconds[label],
                 "src_pisim_lines": source_lines(tree),
                 "workloads": {w: summary(r) for w, r in runs[label].items()},
             }

@@ -434,10 +434,7 @@ def _entangle_figures(
     pattern_visibility = visibility(PatternCurve(variable, grid, outcomes, pattern), outcomes[0])
 
     rho = conditional_detected_state(run_scheme(cfg))
-    if cfg.n_detected == 2:
-        pair = concurrence(rho)
-    else:
-        pair = concurrence(partial_trace(rho, (1, 2)))
+    pair = concurrence(rho if cfg.n_detected == 2 else partial_trace(rho, (1, 2)))
 
     tangle = None
     if cfg.n_detected == 3:

@@ -361,8 +361,11 @@ def branch_probabilities(
         rows = [rows[0][:slot] + [sign * v] + rows[0][slot + 1 :] for v in grid]
     phases = []  # e^(-i xi), xi summed exactly as hi + lo: near a zero |A| is as exact as xi
     for row in rows:
-        hi = math.fsum(row)
-        phases.append(cmath.exp(-1j * hi) * complex(1.0, -math.fsum(row + [-hi])))
+        try:
+            hi = math.fsum(row)
+            phases.append(cmath.exp(-1j * hi) * complex(1.0, -math.fsum(row + [-hi])))
+        except OverflowError:  # a partial sum past the float range: one e^(-i phase) each
+            phases.append(math.prod(cmath.exp(-1j * v) for v in row))
     total = math.prod(cfg.transmission)
     # |A|^2 = |1 + T e^(-i xi) i^(2r-n)|^2 / 2^(n+1), r even, odd: flat in xi at T = 0
     turn = (1, -1j, -1, 1j)[n % 4] * np.array([1.0, -1.0])

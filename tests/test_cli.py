@@ -8,7 +8,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pisim import NormalizationError, ScenarioParseError, ValidationError
+from pisim import (
+    NormalizationError,
+    ScenarioParseError,
+    SchemeConfig,
+    ValidationError,
+    outcome_probabilities,
+    run_scheme,
+)
 from pisim.cli import (
     EXIT_INVALID,
     EXIT_IO,
@@ -306,6 +313,47 @@ class TestLargestRun:
             expected = {r: attenuated_coincidence(16, r, 1.0, xi) for r in set(ports)}
             assert all(abs(float(v) - expected[r]) <= 1e-12 for v, r in zip(row[1:-1], ports))
             assert row[-1] == "0"
+
+
+class TestPhasesNearTheFloatLimit:
+    # phi0 + phi.1 overflows a float although each phase is finite and accepted
+    SCHEME = (
+        "scheme.n = 3\nscheme.m = 1\nscheme.phi0 = 1e308\nscheme.phi.1 = 1.7e308\n"
+        "scheme.phi.2 = -0.3\nscheme.transmission.3 = 0.8\n"
+    )
+
+    def cfg(self, **phases):
+        values = {"phi0": 1e308, "phi": (1.7e308, -0.3), "transmission": (0.8,)} | phases
+        return SchemeConfig(3, 1, **values)
+
+    def test_run_matches_the_engine(self, tmp_path):
+        scenario, out = tmp_path / "huge.scenario", tmp_path / "huge.csv"
+        scenario.write_text("command = run\n" + self.SCHEME)
+        assert main(["run", "--scenario", str(scenario), "--out", str(out)]) == EXIT_OK
+        _, rows = read_rows(out)
+        _, loss_free, lost = outcome_probabilities(run_scheme(self.cfg()))
+        expected = [loss_free[(a, b)] for a in (0, 1) for b in (0, 1)] + [lost]
+        assert [row[0] for row in rows] == ["00", "01", "10", "11", "loss"]
+        assert all(abs(float(row[1]) - p) <= 1e-12 for row, p in zip(rows, expected))
+
+    def test_sweep_matches_the_engine(self, tmp_path):
+        scenario, out = tmp_path / "huge.scenario", tmp_path / "huge.csv"
+        scenario.write_text("command = sweep\nsweep.variable = phi.2\n" + self.SCHEME)
+        assert main(["sweep", "--scenario", str(scenario), "--out", str(out)]) == EXIT_OK
+        _, rows = read_rows(out)
+        assert len(rows) == 64
+        for k, row in enumerate(rows):
+            cfg = self.cfg(phi=(1.7e308, k * (math.tau / 64)))
+            _, loss_free, lost = outcome_probabilities(run_scheme(cfg))
+            expected = list(loss_free.values()) + [lost]
+            assert all(abs(float(v) - p) <= 1e-12 for v, p in zip(row[1:], expected))
+
+    def test_entangle_pattern_keeps_its_visibility(self, tmp_path):
+        scenario, out = tmp_path / "huge.scenario", tmp_path / "huge.csv"
+        scenario.write_text("command = entangle\nentangle.grid = 0.5,1\n" + self.SCHEME)
+        assert main(["entangle", "--scenario", str(scenario), "--out", str(out)]) == EXIT_OK
+        _, rows = read_rows(out)
+        assert [float(row[1]) for row in rows] == pytest.approx([0.5, 1.0], abs=1e-9)
 
 
 class TestSweepCommand:
