@@ -148,7 +148,7 @@ class _Entries:
 
     def error(self, key: str, message: str) -> ScenarioParseError:
         """A parse error naming ``key`` and the line it was given on, if any."""
-        return ScenarioParseError(message, key=key, line=self.line_of(key))
+        return ScenarioParseError(message, key=key, line=self.pairs.get(key, (None, None))[1])
 
     def take(self, key: str) -> tuple[str, int] | None:
         if key in self.pairs:
@@ -178,14 +178,8 @@ class _Entries:
         except ValueError:
             raise self.error(key, f"expected a number, got {found[0]!r}")
 
-    def line_of(self, key: str) -> int | None:
-        return self.pairs[key][1] if key in self.pairs else None
-
     def matching(self, prefix: str) -> list[str]:
         return [k for k in self.pairs if k.startswith(prefix)]
-
-    def unconsumed(self) -> list[str]:
-        return [k for k in self.pairs if k not in self.consumed]
 
 
 def _parse_scheme(entries: _Entries, required: bool) -> SchemeConfig | None:
@@ -333,8 +327,10 @@ def parse_scenario(text: str) -> Scenario:
         _validate_target(target, scheme, entries)
 
     output_path = entries.take_str("output")
+    if output_path is not None and "\0" in output_path:
+        raise entries.error("output", "path contains a NUL byte")
 
-    for key in entries.unconsumed():
+    for key in [k for k in entries.pairs if k not in entries.consumed]:
         raise entries.error(key, "unknown key")
 
     if command == "entangle":
@@ -538,30 +534,33 @@ def _parse_seed(text: str) -> int:
     return value
 
 
+def _parse_path(text: str) -> str:
+    if "\0" in text:
+        raise argparse.ArgumentTypeError("path contains a NUL byte")
+    return text
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="pisim",
+        usage="pisim <command> --scenario <path> [--out <path>] [--seed <u64>]",
         description="Simulate two-source path-identity interferometers from scenario files.",
     )
-    subparsers = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        sub = subparsers.add_parser(name)
-        sub.add_argument("--scenario", required=True, help="path to the scenario document")
-        sub.add_argument("--out", default=None, help="output file (overrides the scenario)")
-        sub.add_argument("--seed", type=_parse_seed, default=DEFAULT_SEED, help="64-bit seed")
+    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("--scenario", required=True, type=_parse_path, help="scenario document")
+    parser.add_argument("--out", type=_parse_path, help="output file (overrides the scenario)")
+    parser.add_argument("--seed", type=_parse_seed, default=DEFAULT_SEED, help="64-bit seed")
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_INVALID
 
     try:
-        text = Path(args.scenario).read_text()
+        scenario = parse_scenario(Path(args.scenario).read_text(encoding="utf-8"))
     except OSError as exc:
         print(f"pisim: cannot read scenario: {exc}", file=sys.stderr)
         return EXIT_IO
-    try:
-        scenario = parse_scenario(text)
-    except ScenarioParseError as exc:
+    except (ScenarioParseError, UnicodeDecodeError) as exc:
         print(f"pisim: scenario error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     if scenario.command != args.command:

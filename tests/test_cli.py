@@ -573,3 +573,50 @@ class TestMainEntryPoint:
         scenario_path = tmp_path / "case.txt"
         scenario_path.write_text(CASE_I_RUN)
         assert main(["run", "--scenario", str(scenario_path), "--seed", "-3"]) == EXIT_INVALID
+
+    @pytest.mark.parametrize(
+        "argv",
+        [[], ["bogus", "--scenario", "x"], ["run", "--scenario", "x", "--seed", str(2**64)]],
+        ids=["no-arguments", "unknown-command", "seed-too-large"],
+    )
+    def test_usage_errors_exit_invalid(self, argv):
+        assert main(argv) == EXIT_INVALID
+
+    @pytest.mark.parametrize("argv", [["--help"], ["run", "--help"]], ids=lambda a: " ".join(a))
+    def test_help_exits_ok_without_output(self, tmp_path, argv):
+        out = tmp_path / "out.csv"
+        scenario = GOLDEN / "run_lossy.scenario"
+        assert main(argv + ["--scenario", str(scenario), "--out", str(out)]) == EXIT_OK
+        assert not out.exists()
+
+    def test_options_before_the_command(self, tmp_path):
+        out = tmp_path / "out.csv"
+        argv = ["--scenario", str(GOLDEN / "run_lossy.scenario"), "run", "--out", str(out)]
+        assert main(argv) == EXIT_OK
+        assert out.read_bytes() == (GOLDEN / "run_lossy.csv").read_bytes()
+
+    def test_scenario_not_utf8(self, tmp_path, capsys):
+        scenario_path = tmp_path / "bad.scenario"
+        scenario_path.write_bytes(CASE_I_RUN.encode() + b"# \xff\xfe\n")
+        out = tmp_path / "out.csv"
+        assert main(["run", "--scenario", str(scenario_path), "--out", str(out)]) == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert err.startswith("pisim: scenario error: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_nul_in_scenario_output_path(self, tmp_path, capsys):
+        scenario_path = tmp_path / "case.scenario"
+        scenario_path.write_text(CASE_I_RUN + "output = x\0y.csv\n")
+        assert main(["run", "--scenario", str(scenario_path)]) == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert err == "pisim: scenario error: line 6, key 'output': path contains a NUL byte\n"
+
+    @pytest.mark.parametrize("option", ["--scenario", "--out"])
+    def test_nul_in_path_option(self, tmp_path, capsys, option):
+        out = tmp_path / "out.csv"
+        argv = ["run", "--scenario", str(GOLDEN / "run_lossy.scenario"), "--out", str(out)]
+        argv[argv.index(option) + 1] = str(tmp_path / "x\0y")
+        assert main(argv) == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert err.endswith(f"pisim: error: argument {option}: path contains a NUL byte\n")
+        assert not out.exists()
