@@ -35,6 +35,7 @@ from pisim import (
     joint_probability,
     loss,
     outcome_probabilities,
+    partial_trace,
     primed_detector,
     primed_source_beam,
     pure_state_from_terms,
@@ -323,6 +324,47 @@ class TestPinnedAmplitudes:
             for outcome, amp in run_scheme(cfg).amplitudes.items()
         ]
         assert got == case["terms"]
+
+
+CONDITIONAL_STATES = Path(__file__).parent / "data" / "conditional_states.json"
+
+
+def _density_record(rho) -> dict:
+    return {
+        "particles": list(rho.kept_particles),
+        "basis": [[str(label) for label in outcome] for outcome in rho.basis],
+        "matrix": [[[z.real.hex(), z.imag.hex()] for z in row] for row in rho.matrix.tolist()],
+    }
+
+
+class TestPinnedDensity:
+    """The detected-particle density matrix and its two-particle reduction, bit for bit.
+
+    ``tests/data/conditional_states.json`` stores the ``float.hex`` forms of
+    ``conditional_detected_state(run_scheme(cfg))`` and of its
+    ``partial_trace`` onto particles 1 and 2, for transmissions 0, 0.5, 1 and
+    1e-14 (below the pruning threshold), with none, one and several aligned
+    particles.  The golden concurrence digits of the ``entangle`` CSVs depend
+    on the rounding of this matrix, so any reordered sum shows here first.
+    """
+
+    @pytest.mark.parametrize(
+        "case",
+        json.loads(CONDITIONAL_STATES.read_text()),
+        ids=lambda case: f"n{case['n']}-m{case['m']}-t{'_'.join(map(str, case['transmission']))}",
+    )
+    def test_density_matches_bit_for_bit(self, case):
+        cfg = SchemeConfig(
+            case["n"],
+            case["m"],
+            phi0=case["phi0"],
+            phi=tuple(case["phi"]),
+            theta=tuple(case["theta"]),
+            transmission=tuple(case["transmission"]),
+        )
+        rho = conditional_detected_state(run_scheme(cfg))
+        assert _density_record(rho) == case["rho"]
+        assert _density_record(partial_trace(rho, (1, 2))) == case["pair"]
 
 
 class TestRunScheme:
