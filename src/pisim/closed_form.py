@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .states import PureState, detector_outcome, pure_state_from_terms
+from .states import PureState, detector, detector_outcome, primed_detector, pure_state_from_terms
 
 #: Exact powers of i; complex exponentiation would introduce rounding.
 _I_POW = (1 + 0j, 1j, -1 + 0j, -1j)
@@ -85,12 +85,10 @@ def predicted_output_state(n: int, xi: float) -> PureState:
         raise ValueError(f"n must be >= 1, got {n}")
     phase = cmath.exp(1j * float(xi))
     scale = 0.5 ** ((n + 1) / 2)
-    terms = []
-    for ports in itertools.product((0, 1), repeat=n):
-        r = sum(ports)
-        coefficient = _I_POW[r % 4] + _I_POW[(n - r) % 4] * phase
-        terms.append((detector_outcome(ports), scale * coefficient))
-    return pure_state_from_terms(terms)
+    by_r = [scale * (_I_POW[r % 4] + _I_POW[(n - r) % 4] * phase) for r in range(n + 1)]
+    outcomes = itertools.product(*((detector(j), primed_detector(j)) for j in range(1, n + 1)))
+    primed = map(sum, itertools.product((0, 1), repeat=n))  # r of each outcome, in step
+    return pure_state_from_terms(zip(outcomes, map(by_r.__getitem__, primed)))
 
 
 def entangled_class_state(cls: EntangledClass) -> PureState:

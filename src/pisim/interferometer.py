@@ -29,6 +29,7 @@ from .states import (
     loss,
     primed_detector,
     primed_source_beam,
+    pruned_state,
     pure_state_from_terms,
     source_beam,
     to_density,
@@ -213,21 +214,26 @@ def _map_source_beams(
     ``unprimed`` and ``primed`` give the element's action on b and b' as
     ``(phase, ((output label, amplitude), ...))``: a term carrying that beam in
     the particle's slot becomes one term per branch, with amplitude
-    ``amp * phase * amplitude`` in that order.  Any other label in the slot
-    raises the error of :func:`_stage_error`.
+    ``amp * phase * amplitude`` in that order, added in term order into one
+    dict of output terms (see :func:`pruned_state`).  Any other label in the
+    slot raises the error of :func:`_stage_error`.
     """
     slot = particle - 1
     beams = {source_beam(particle): unprimed, primed_source_beam(particle): primed}
-    terms: list[tuple[Outcome, complex]] = []
+    accumulated: dict[Outcome, complex] = {}
+    get = accumulated.get
     for outcome, amp in psi.amplitudes.items():
         beam = beams.get(outcome[slot])
         if beam is None:
             raise _stage_error(outcome[slot], particle, operation)
         phase, branches = beam
-        head, tail = outcome[:slot], outcome[slot + 1 :]
+        amp = amp * phase
+        labels = list(outcome)
         for label, amplitude in branches:
-            terms.append((head + (label,) + tail, amp * phase * amplitude))
-    return pure_state_from_terms(terms)
+            labels[slot] = label
+            key = tuple(labels)
+            accumulated[key] = get(key, 0j) + amp * amplitude
+    return pruned_state(psi.particle_count, accumulated)
 
 
 def apply_path_identity(
@@ -292,8 +298,8 @@ def run_scheme(cfg: SchemeConfig) -> PureState:
 def detected_particles(psi: PureState) -> tuple[int, ...]:
     """Particles carrying detector labels in every term of ``psi``."""
     detected = []
-    for particle in range(1, psi.particle_count + 1):
-        kinds = {label.kind for label in psi.particle_labels(particle)}
+    for particle, labels in enumerate(zip(*psi.amplitudes), 1):
+        kinds = {label.kind for label in set(labels)}
         if kinds <= _DETECTOR_KINDS:
             detected.append(particle)
         elif kinds & _DETECTOR_KINDS:

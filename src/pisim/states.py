@@ -8,9 +8,11 @@ arrays over the product basis actually spanned by their source states.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from enum import IntEnum
 from types import MappingProxyType
@@ -169,8 +171,8 @@ def format_outcome(outcome: Outcome) -> str:
 class PureState:
     """Sparse superposition over product path labels, one label per particle.
 
-    Immutable after construction; every stored amplitude has magnitude above
-    :data:`AMPLITUDE_EPSILON`.  Build instances with
+    Immutable after construction; every stored amplitude is finite, with
+    magnitude above :data:`AMPLITUDE_EPSILON`.  Build instances with
     :func:`pure_state_from_terms`.
     """
 
@@ -182,13 +184,15 @@ class PureState:
             raise StructureError("a state needs at least one particle")
         if not self.amplitudes:
             raise EmptyStateError("state has no terms")
+        count = self.particle_count
         for outcome, amp in self.amplitudes.items():
-            if len(outcome) != self.particle_count:
+            if len(outcome) != count:
                 raise StructureError(
-                    f"outcome {format_outcome(outcome)} has {len(outcome)} labels, "
-                    f"expected {self.particle_count}"
+                    f"outcome {format_outcome(outcome)} has {len(outcome)} labels, expected {count}"
                 )
-            if abs(amp) <= AMPLITUDE_EPSILON:
+            if not AMPLITUDE_EPSILON < abs(amp) < math.inf:  # false for NaN too
+                if not cmath.isfinite(amp):
+                    raise ValueError(f"amplitude for {format_outcome(outcome)} is not finite")
                 raise ValueError(f"amplitude {amp!r} is below the pruning threshold")
         object.__setattr__(self, "amplitudes", MappingProxyType(dict(self.amplitudes)))
 
@@ -242,16 +246,21 @@ def pure_state_from_terms(terms: Iterable[tuple[Outcome, complex]]) -> PureState
             raise StructureError(
                 f"outcome {format_outcome(outcome)} has {len(outcome)} labels, expected {length}"
             )
-        value = complex(amp)
-        if not (math.isfinite(value.real) and math.isfinite(value.imag)):
-            raise ValueError(f"amplitude for {format_outcome(outcome)} is not finite")
-        accumulated[outcome] = accumulated.get(outcome, 0j) + value
+        accumulated[outcome] = accumulated.get(outcome, 0j) + complex(amp)
     if length is None:
         raise EmptyStateError("no terms provided")
-    pruned = {o: a for o, a in accumulated.items() if abs(a) > AMPLITUDE_EPSILON}
-    if not pruned:
+    return pruned_state(length, accumulated)
+
+
+def pruned_state(particle_count: int, accumulated: dict[Outcome, complex]) -> PureState:
+    """The state of the summed ``accumulated`` amplitudes, after deleting from
+    ``accumulated`` those that cancel below :data:`AMPLITUDE_EPSILON`.  A NaN
+    is kept, so that :class:`PureState` rejects it."""
+    for outcome in [o for o, a in accumulated.items() if abs(a) <= AMPLITUDE_EPSILON]:
+        del accumulated[outcome]
+    if not accumulated:
         raise EmptyStateError("all amplitudes cancelled")
-    return PureState(length, pruned)
+    return PureState(particle_count, accumulated)
 
 
 def inner_product(a: PureState, b: PureState) -> complex:
@@ -289,13 +298,15 @@ class DensityMatrix:
         basis = tuple(tuple(o) for o in self.basis)
         if any(len(o) != len(kept) for o in basis):
             raise ValidationError("every basis outcome must cover exactly the kept particles")
-        if list(basis) != sorted(set(basis)):
-            raise ValidationError("basis must be sorted and free of duplicates")
+        if not all(map(operator.lt, basis, basis[1:])):
+            raise ValidationError("basis must be strictly ascending")
         matrix = np.asarray(self.matrix, dtype=complex)
         if matrix.shape != (len(basis), len(basis)):
             raise ValidationError(
                 f"matrix shape {matrix.shape} does not match basis size {len(basis)}"
             )
+        if not np.isfinite(matrix).all():
+            raise ValidationError("matrix has non-finite entries")
         deviation = np.abs(matrix - matrix.conj().T).max()
         if deviation > HERMITICITY_TOLERANCE:
             raise ValidationError(f"matrix is not Hermitian (max deviation {deviation:.3e})")
@@ -350,19 +361,21 @@ def to_density(psi: PureState, keep: Iterable[int] | None = None) -> DensityMatr
         raise NormalizationError(f"state norm is {psi.norm():.15g}, expected 1")
     particles = range(1, psi.particle_count + 1)
     keep = tuple(particles) if keep is None else _kept(keep, particles)
-    kept_slots = [p - 1 for p in keep]
-    traced_slots = [p - 1 for p in particles if p not in keep]
-    basis = _product_basis([psi.particle_labels(p) for p in keep])
+    columns = list(zip(*psi.amplitudes))  # the labels of each slot, one per term
+    basis = _product_basis([sorted(set(columns[p - 1])) for p in keep])
     index = {o: i for i, o in enumerate(basis)}
-    groups: dict[Outcome, list[tuple[int, complex]]] = {}
-    for outcome, amp in psi.amplitudes.items():
-        row = index[tuple([outcome[s] for s in kept_slots])]
-        groups.setdefault(tuple([outcome[s] for s in traced_slots]), []).append((row, amp))
+    kept = zip(*(columns[p - 1] for p in keep))
+    traced = list(zip(*(columns[p - 1] for p in particles if p not in keep)))
+    traced = traced or [()] * psi.term_count
+    group = {labels: i for i, labels in enumerate(sorted(set(traced)))}
+    # one vector over the basis per group of terms, ascending in their traced labels
+    vectors = np.zeros((len(group), len(basis)), dtype=complex)
+    vectors[
+        np.fromiter(map(group.__getitem__, traced), np.intp, psi.term_count),
+        np.fromiter(map(index.__getitem__, kept), np.intp, psi.term_count),
+    ] = list(psi.amplitudes.values())
     matrix = np.zeros((len(basis), len(basis)), dtype=complex)
-    for traced in sorted(groups):
-        rows, amps = zip(*groups[traced])
-        vector = np.zeros(len(basis), dtype=complex)
-        vector[list(rows)] = amps
+    for vector in vectors:
         matrix += np.outer(vector, vector.conj())
     return DensityMatrix(keep, basis, matrix)
 
@@ -373,22 +386,23 @@ def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
     if keep == rho.kept_particles:
         return rho
 
-    positions = [rho.kept_particles.index(p) for p in keep]
-    traced_positions = [i for i in range(len(rho.kept_particles)) if i not in positions]
-    kept_parts = [tuple(o[i] for i in positions) for o in rho.basis]
-    traced_parts = [tuple(o[i] for i in traced_positions) for o in rho.basis]
-
+    columns = list(zip(*rho.basis))
+    kept_parts = list(zip(*(columns[rho.kept_particles.index(p)] for p in keep)))
+    traced_parts = zip(*(c for c, p in zip(columns, rho.kept_particles) if p not in keep))
     new_basis = tuple(sorted(set(kept_parts)))
     new_index = {o: i for i, o in enumerate(new_basis)}
-    reduced = np.zeros((len(new_basis), len(new_basis)), dtype=complex)
+    targets = np.fromiter(map(new_index.__getitem__, kept_parts), np.intp)
 
     groups: dict[tuple[PathLabel, ...], list[int]] = {}
     for row, traced in enumerate(traced_parts):
         groups.setdefault(traced, []).append(row)
-    for rows in groups.values():
-        for i in rows:
-            for j in rows:
-                reduced[new_index[kept_parts[i]], new_index[kept_parts[j]]] += rho.matrix[i, j]
+    # every (i, j) pair of rows in one group, group by group, i then j: each
+    # cell of the reduced matrix sums its entries in that order
+    blocks = [np.array(rows) for rows in groups.values()]
+    i = np.concatenate([np.repeat(rows, len(rows)) for rows in blocks])
+    j = np.concatenate([np.tile(rows, len(rows)) for rows in blocks])
+    reduced = np.zeros((len(new_basis), len(new_basis)), dtype=complex)
+    np.add.at(reduced, (targets[i], targets[j]), rho.matrix[i, j])
     return DensityMatrix(keep, new_basis, reduced)
 
 

@@ -9,11 +9,14 @@ import numpy as np
 import pytest
 
 from pisim import (
+    DensityMatrix,
     NormalizationError,
     ScenarioParseError,
     SchemeConfig,
     ValidationError,
+    detector,
     outcome_probabilities,
+    primed_detector,
     run_scheme,
 )
 from pisim.cli import (
@@ -448,6 +451,22 @@ class TestNumericalFailures:
         out = tmp_path / "ent.csv"
         assert execute(parse_scenario(text), out_path=str(out)) == EXIT_NUMERIC
         assert not out.exists()
+
+    def test_non_finite_density_exits_numeric(self, tmp_path, monkeypatch, capsys):
+        import pisim.cli as cli
+
+        def nan_density(_state):
+            basis = ((detector(1), detector(2)), (primed_detector(1), primed_detector(2)))
+            return DensityMatrix((1, 2), basis, np.full((2, 2), math.nan))
+
+        monkeypatch.setattr(cli, "conditional_detected_state", nan_density)
+        text = "command = entangle\nscheme.n = 3\nscheme.m = 1\nentangle.grid = 1\n"
+        out = tmp_path / "ent.csv"
+        assert execute(parse_scenario(text), out_path=str(out)) == EXIT_NUMERIC
+        assert not out.exists()
+        assert capsys.readouterr().err == (
+            "pisim: numerical check failed: matrix has non-finite entries\n"
+        )
 
     @pytest.mark.parametrize(
         "command, text, message",

@@ -23,6 +23,7 @@ from pisim import (
     StructureError,
     ValidationError,
     aligned_beam,
+    apply_beam_splitter,
     density_from_mixture,
     detector,
     inner_product,
@@ -191,6 +192,34 @@ class TestPureStateConstruction:
         psi = pure_state_from_terms([(outcome_big, 1.0), (outcome_tiny, 1e-15)])
         assert psi.term_count == 1
         assert psi.amplitude(outcome_tiny) == 0
+
+    @pytest.mark.parametrize(
+        "amp", [math.nan, math.inf, -math.inf, complex(1.0, math.nan), complex(math.inf, 0.0)]
+    )
+    def test_non_finite_amplitude_rejected_on_construction(self, amp):
+        with pytest.raises(ValueError, match=r"amplitude for \|d1'> is not finite"):
+            PureState(1, {(detector(1),): 0.5, (primed_detector(1),): amp})
+
+    @pytest.mark.parametrize(
+        "terms",
+        [
+            [((detector(1),), math.nan)],
+            # a NaN next to a cancelled term is not pruned away with it
+            [((detector(1),), 1.0), ((detector(1),), -1.0), ((primed_detector(1),), math.nan)],
+            # every term is finite; their sum is not
+            [((detector(1),), 1e308), ((detector(1),), 1e308)],
+            [((detector(1),), math.inf), ((detector(1),), -math.inf)],
+        ],
+    )
+    def test_non_finite_sum_rejected_from_terms(self, terms):
+        with pytest.raises(ValueError, match="is not finite"):
+            pure_state_from_terms(terms)
+
+    def test_non_finite_stage_output_rejected(self):
+        # Finite inputs whose beam-splitter outputs add past the float range.
+        psi = PureState(1, {(source_beam(1),): 1.7e308, (primed_source_beam(1),): 1.7e308})
+        with pytest.raises(ValueError, match="is not finite"):
+            apply_beam_splitter(psi, 1, -math.pi / 2)
 
     def test_normalized_copy(self):
         psi = pure_state_from_terms([((detector(1),), 2.0)])
@@ -475,6 +504,24 @@ class TestDensityMatrixValidation:
         basis = ((primed_detector(1),), (detector(1),))
         with pytest.raises(ValidationError):
             DensityMatrix((1,), basis, np.eye(2) / 2)
+
+    def test_duplicate_basis_rejected(self):
+        basis = ((detector(1),), (detector(1),))
+        with pytest.raises(ValidationError, match="strictly ascending"):
+            DensityMatrix((1,), basis, np.eye(2) / 2)
+
+    @pytest.mark.parametrize(
+        "matrix",
+        [
+            [[math.nan, 0.0], [0.0, math.nan]],
+            [[0.5, math.nan], [math.nan, 0.5]],
+            [[0.5, complex(0.0, math.inf)], [complex(0.0, -math.inf), 0.5]],
+        ],
+    )
+    def test_non_finite_matrix_rejected(self, matrix):
+        basis = ((detector(1),), (primed_detector(1),))
+        with pytest.raises(ValidationError, match="non-finite"):
+            DensityMatrix((1,), basis, np.array(matrix))
 
 
 class TestDensityFromMixture:
