@@ -18,6 +18,7 @@ from .interferometer import (
 from .states import (
     DensityMatrix,
     LabelKind,
+    Outcome,
     PureState,
     pure_state_from_terms,
     to_density,
@@ -25,6 +26,7 @@ from .states import (
 
 _PROBABILITY_SLACK = 1e-9
 _SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
+_SPIN_FLIP = np.kron(_SIGMA_Y, _SIGMA_Y)
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,20 +103,24 @@ def visibility(curve: PatternCurve, outcome: DetectionOutcome) -> float:
 _PORT_BITS = {LabelKind.DETECTOR_UNPRIMED: 0, LabelKind.DETECTOR_PRIMED: 1}
 
 
+def _port_index(outcome: Outcome, particles: Sequence[int]) -> int:
+    """The 0/1 ports of ``outcome`` (unprimed -> 0, primed -> 1) read as a binary
+    number, the first of ``particles`` the highest bit; each label must be a
+    detector port of its own particle."""
+    value = 0
+    for label, particle in zip(outcome, particles):
+        if label.kind not in _PORT_BITS or label.index != particle:
+            raise ValueError(
+                f"label {label} cannot be mapped to a detector port of particle {particle}"
+            )
+        value = (value << 1) | _PORT_BITS[label.kind]
+    return value
+
+
 def _computational_matrix(rho: DensityMatrix) -> np.ndarray:
     """Embed a detector-label density matrix into the dense 0/1 port basis."""
     k = len(rho.kept_particles)
-    indices = []
-    for outcome in rho.basis:
-        value = 0
-        for slot, label in enumerate(outcome):
-            if label.kind not in _PORT_BITS or label.index != rho.kept_particles[slot]:
-                raise ValueError(
-                    f"label {label} cannot be mapped to a detector port of particle "
-                    f"{rho.kept_particles[slot]}"
-                )
-            value = (value << 1) | _PORT_BITS[label.kind]
-        indices.append(value)
+    indices = [_port_index(outcome, rho.kept_particles) for outcome in rho.basis]
     dense = np.zeros((2**k, 2**k), dtype=complex)
     dense[np.ix_(indices, indices)] = rho.matrix
     return dense
@@ -130,8 +136,7 @@ def concurrence(rho: DensityMatrix) -> float:
     if len(rho.kept_particles) != 2:
         raise ValueError(f"concurrence needs exactly two particles, got {rho.kept_particles}")
     matrix = _computational_matrix(rho)
-    flip = np.kron(_SIGMA_Y, _SIGMA_Y)
-    flipped = flip @ matrix.conj() @ flip
+    flipped = _SPIN_FLIP @ matrix.conj() @ _SPIN_FLIP
     # sqrt(rho) @ flipped @ sqrt(rho) is Hermitian and similar to rho @ flipped,
     # so it has the same spectrum but admits a stable eigensolver.
     evals, evecs = np.linalg.eigh(matrix)
@@ -150,20 +155,26 @@ def one_to_rest_concurrence(psi: PureState, particle: int) -> float:
 
 
 def three_tangle(psi: PureState) -> float:
-    """Residual entanglement of a pure three-particle detector-port state.
+    """Three-tangle of a pure three-particle detector-port state.
 
-    ``tau = C_{1(23)}^2 - C_{12}^2 - C_{13}^2`` with the one-to-rest term from
-    the reduced single-particle determinant and the pairwise terms from
-    :func:`concurrence`.
+    Cayley's hyperdeterminant of the eight port amplitudes ``a_ijk``,
+    ``tau = 4 |d1 - 2 d2 + 4 d3|`` (Coffman, Kundu, Wootters, PRA 61, 052306
+    (2000)), which equals the residual ``C_{1(23)}^2 - C_{12}^2 - C_{13}^2``.
+    Outcomes missing from ``psi`` have amplitude zero.
     """
     if psi.particle_count != 3:
         raise ValueError(f"three_tangle needs a three-particle state, got {psi.particle_count}")
     if not psi.is_normalized:
         raise NormalizationError("three_tangle needs a normalized state")
-    one_to_rest = one_to_rest_concurrence(psi, 1)
-    pair_12 = concurrence(to_density(psi, (1, 2)))
-    pair_13 = concurrence(to_density(psi, (1, 3)))
-    return max(0.0, one_to_rest**2 - pair_12**2 - pair_13**2)
+    a = [0j] * 8
+    for outcome, amp in psi.amplitudes.items():
+        a[_port_index(outcome, (1, 2, 3))] = amp
+    a000, a001, a010, a011, a100, a101, a110, a111 = a
+    p, q, r, s = a000 * a111, a001 * a110, a010 * a101, a100 * a011
+    d1 = p * p + q * q + r * r + s * s
+    d2 = p * q + p * r + p * s + q * r + q * s + r * s
+    d3 = a000 * a110 * a101 * a011 + a111 * a001 * a010 * a100
+    return 4 * abs(d1 - 2 * d2 + 4 * d3)
 
 
 def fidelity(rho: DensityMatrix, target: PureState) -> float:

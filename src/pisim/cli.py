@@ -67,7 +67,8 @@ TARGET_NAMES = ("Psi+", "Phi-", "GHZ3", "F1", "F2", "F3", "F4")
 DEFAULT_SEED = 42
 ROW_SUM_TOLERANCE = 1e-9
 ORACLE_TOLERANCE = 1e-9
-_VISIBILITY_STEPS = 64
+#: Phases of the visibility fit: 64 steps over one period.
+_VISIBILITY_GRID = tuple(k * math.tau / 64 for k in range(64))
 #: Rounding allowance on the [0, 1] range of the entanglement figures.
 _FIGURE_SLACK = 1e-9
 DEFAULT_ENTANGLE_GRID = tuple(k / 10 for k in range(11))
@@ -419,15 +420,15 @@ def _cmd_sweep(scenario: Scenario, path: str) -> int:
 
 
 def _entangle_figures(
-    cfg: SchemeConfig, target: PureState | None
+    cfg: SchemeConfig, target: PureState | None, outcomes: tuple[DetectionOutcome, ...]
 ) -> tuple[float, float, float | None, float | None]:
     """Visibility, concurrence, fidelity to ``target`` and three-tangle of one
-    configuration, in CSV column order; ``None`` where a figure does not apply."""
+    configuration, in CSV column order; ``None`` where a figure does not apply.
+    ``outcomes`` lists the configuration's detection outcomes."""
     variable = f"theta.{cfg.n_detected + 1}"
-    grid = tuple(k * math.tau / _VISIBILITY_STEPS for k in range(_VISIBILITY_STEPS))
-    outcomes = DetectionOutcome.all_outcomes(cfg.n_detected)
-    pattern = branch_probabilities(cfg, variable, grid).marginal
-    pattern_visibility = visibility(PatternCurve(variable, grid, outcomes, pattern), outcomes[0])
+    pattern = branch_probabilities(cfg, variable, _VISIBILITY_GRID).marginal
+    curve = PatternCurve(variable, _VISIBILITY_GRID, outcomes, pattern)
+    pattern_visibility = visibility(curve, outcomes[0])
 
     rho = conditional_detected_state(run_scheme(cfg))
     pair = concurrence(rho if cfg.n_detected == 2 else partial_trace(rho, (1, 2)))
@@ -447,11 +448,12 @@ def _cmd_entangle(scenario: Scenario) -> list[str]:
     scheme = scenario.scheme
     grid = scenario.entangle_grid or DEFAULT_ENTANGLE_GRID
     target = _target_state(scenario.target, scheme.n_detected) if scenario.target else None
+    outcomes = DetectionOutcome.all_outcomes(scheme.n_detected)
     columns = ("visibility", "concurrence", "fidelity", "three_tangle")
     lines = ["transmission," + ",".join(columns)]
     for t in grid:
         cfg = replace(scheme, transmission=(t,) * scheme.n_aligned)
-        figures = _entangle_figures(cfg, target)
+        figures = _entangle_figures(cfg, target, outcomes)
         for name, value in zip(columns, figures):
             if value is not None and not -_FIGURE_SLACK <= value <= 1.0 + _FIGURE_SLACK:
                 raise ValidationError(f"{name} must lie in [0, 1], got {value}")

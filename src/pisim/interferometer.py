@@ -12,7 +12,7 @@ import cmath
 import itertools
 import math
 from dataclasses import dataclass, replace
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -297,8 +297,13 @@ def run_scheme(cfg: SchemeConfig) -> PureState:
 
 def detected_particles(psi: PureState) -> tuple[int, ...]:
     """Particles carrying detector labels in every term of ``psi``."""
+    return _detected(zip(*psi.amplitudes))
+
+
+def _detected(columns: Iterable[tuple[PathLabel, ...]]) -> tuple[int, ...]:
+    """:func:`detected_particles` from the labels of each slot, one per term."""
     detected = []
-    for particle, labels in enumerate(zip(*psi.amplitudes), 1):
+    for particle, labels in enumerate(columns, 1):
         kinds = {label.kind for label in set(labels)}
         if kinds <= _DETECTOR_KINDS:
             detected.append(particle)
@@ -321,24 +326,30 @@ class OutcomeProbabilities(NamedTuple):
 
 
 def outcome_probabilities(psi: PureState) -> OutcomeProbabilities:
-    """All coincidence probabilities of ``psi``, with and without loss, in one pass."""
-    detected = detected_particles(psi)
+    """All coincidence probabilities of ``psi``, with and without loss, from one
+    pass over the labels of each slot; every cell adds its terms in term order."""
+    columns = list(zip(*psi.amplitudes))
+    detected = _detected(columns)
     if not detected:
         raise ValueError("state has no detected particles")
-    slots = [p - 1 for p in detected]
-    undetected = [s for s in range(psi.particle_count) if s + 1 not in detected]
-    primed, loss_kind = LabelKind.DETECTOR_PRIMED, LabelKind.LOSS
-    marginal = dict.fromkeys(itertools.product((0, 1), repeat=len(slots)), 0.0)
-    loss_free, lost = dict(marginal), 0.0
-    for outcome, amp in psi.amplitudes.items():
-        weight = abs(amp) ** 2
-        ports = tuple([outcome[s].kind is primed for s in slots])  # bools key as 0/1
-        marginal[ports] += weight
-        if loss_kind in [outcome[s].kind for s in undetected]:
-            lost += weight
+    count, cells = psi.term_count, 2 ** len(detected)
+    ports = np.zeros(count, dtype=np.intp)  # the first detected particle is the highest bit
+    absorbed = np.zeros(count, dtype=bool)
+    for particle, column in enumerate(columns, 1):
+        if particle in detected:
+            bits = {label: int(label.kind is LabelKind.DETECTOR_PRIMED) for label in set(column)}
+            ports = 2 * ports + np.fromiter(map(bits.__getitem__, column), np.intp, count)
         else:
-            loss_free[ports] += weight
-    return OutcomeProbabilities(marginal, loss_free, lost)
+            flags = {label: label.kind is LabelKind.LOSS for label in set(column)}
+            absorbed |= np.fromiter(map(flags.__getitem__, column), bool, count)
+    weights = np.fromiter((abs(a) ** 2 for a in psi.amplitudes.values()), float, count)
+    # np.bincount adds the weights of each cell in term order; lost terms fill one extra cell
+    marginal = np.bincount(ports, weights, cells).tolist()
+    loss_free = np.bincount(np.where(absorbed, cells, ports), weights, cells + 1).tolist()
+    keys = list(itertools.product((0, 1), repeat=len(detected)))
+    return OutcomeProbabilities(
+        dict(zip(keys, marginal)), dict(zip(keys, loss_free[:cells])), loss_free[cells]
+    )
 
 
 class BranchTable(NamedTuple):
@@ -359,17 +370,20 @@ def branch_probabilities(
     plus ``(1 - T^2)/2 |U|^2`` lost; ``|A| <= AMPLITUDE_EPSILON`` cancels, as in the engine.
     One row per ``grid`` value of the phase ``variable``, or for ``cfg``; n >= 1 detected."""
     n = cfg.n_detected
-    rows = [[cfg.phi0, *cfg.phi, *(-t for t in cfg.theta)]]  # xi is the sum of a row
+    row = [cfg.phi0, *cfg.phi, *(-t for t in cfg.theta)]  # xi is the sum of the row
+    slot, values = 0, [cfg.phi0]
     if variable is not None:
         cfg.replace_phase(variable, 0.0)  # rejects a phase the scheme does not have
         family, _, index = variable.partition(".")  # phi0, phi.<j> or theta.<l> is entry 0, j or l
         slot, sign = int(index or 0), -1.0 if family == "theta" else 1.0
-        rows = [rows[0][:slot] + [sign * v] + rows[0][slot + 1 :] for v in grid]
+        values = [sign * v for v in grid]
     phases = []  # e^(-i xi), xi summed exactly as hi + lo: near a zero |A| is as exact as xi
-    for row in rows:
+    for value in values:
+        row[slot] = value
         try:
             hi = math.fsum(row)
-            phases.append(cmath.exp(-1j * hi) * complex(1.0, -math.fsum(row + [-hi])))
+            lo = math.fsum(itertools.chain(row, (-hi,)))
+            phases.append(cmath.exp(-1j * hi) * complex(1.0, -lo))
         except OverflowError:  # a partial sum past the float range: one e^(-i phase) each
             phases.append(math.prod(cmath.exp(-1j * v) for v in row))
     total = math.prod(cfg.transmission)

@@ -16,6 +16,7 @@ from pisim import (
     PatternCurve,
     SchemeConfig,
     VisibilityUndefinedError,
+    aligned_beam,
     bell_phi_minus,
     bell_psi_plus,
     entangled_class_state,
@@ -26,6 +27,7 @@ from pisim import (
     detector_outcome,
     fidelity,
     ghz_class_three,
+    loss,
     one_to_rest_concurrence,
     partial_trace,
     primed_detector,
@@ -38,7 +40,7 @@ from pisim import (
     to_density,
     visibility,
 )
-from conftest import case_i
+from conftest import case_i, random_detector_state
 
 FULL_TURN = [k * math.tau / 64 for k in range(64)]
 T3_GRID = [k / 10 for k in range(11)]
@@ -207,6 +209,57 @@ class TestThreeTangle:
     def test_unnormalized_rejected(self):
         psi = pure_state_from_terms([(detector_outcome((0, 0, 0)), 0.5)])
         with pytest.raises(NormalizationError):
+            three_tangle(psi)
+
+    def test_hyperdeterminant_matches_the_residual_route(self):
+        # C_{1(23)}^2 - C_12^2 - C_13^2 carries the square root of rounding noise
+        # through the pair concurrences, so the two routes agree to ~1e-8 only
+        rng = np.random.default_rng(20170227)
+        for _ in range(1000):
+            psi = random_detector_state(rng, 3)
+            residual = (
+                one_to_rest_concurrence(psi, 1) ** 2
+                - concurrence(to_density(psi, (1, 2))) ** 2
+                - concurrence(to_density(psi, (1, 3))) ** 2
+            )
+            tangle = three_tangle(psi)
+            assert 0.0 <= tangle <= 1.0
+            assert abs(tangle - residual) <= 1e-7
+
+    def test_exact_values(self):
+        assert three_tangle(w_state()) == 0.0
+        maximal = [ghz_class_three()] + [
+            entangled_class_state(EntangledClass(class_id, 3))
+            for class_id in (EntangledClassId.F3, EntangledClassId.F4)
+        ]
+        for psi in maximal:
+            assert abs(three_tangle(psi) - 1.0) <= 1e-15
+
+    def test_missing_outcomes_have_zero_amplitude(self):
+        half = math.sqrt(0.5)
+        ghz = pure_state_from_terms(
+            [(detector_outcome((0, 0, 0)), half), (detector_outcome((1, 1, 1)), half)]
+        )
+        assert abs(three_tangle(ghz) - 1.0) <= 1e-15
+        # particle 1 in a product with a Bell pair of particles 2 and 3
+        biseparable = pure_state_from_terms(
+            [(detector_outcome((0, 0, 0)), half), (detector_outcome((0, 1, 1)), half)]
+        )
+        assert three_tangle(biseparable) == 0.0
+
+    @pytest.mark.parametrize(
+        "outcome",
+        [
+            (aligned_beam(1), detector(2), detector(3)),
+            (detector(1), detector(2), loss(3)),
+            (detector(2), detector(1), detector(3)),
+            (detector(1), primed_detector(3), detector(3)),
+        ],
+        ids=["aligned", "loss", "swapped-particles", "foreign-port"],
+    )
+    def test_label_outside_its_detector_ports_rejected(self, outcome):
+        psi = pure_state_from_terms([(outcome, 1.0)])
+        with pytest.raises(ValueError, match="cannot be mapped to a detector port"):
             three_tangle(psi)
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import cmath
 import math
 from pathlib import Path
 
@@ -10,11 +11,18 @@ import pytest
 
 from pisim import (
     DensityMatrix,
+    EntangledClass,
+    EntangledClassId,
     NormalizationError,
     ScenarioParseError,
     SchemeConfig,
     ValidationError,
+    bell_phi_minus,
+    bell_psi_plus,
     detector,
+    detector_outcome,
+    entangled_class_state,
+    ghz_class_three,
     outcome_probabilities,
     primed_detector,
     run_scheme,
@@ -25,6 +33,7 @@ from pisim.cli import (
     EXIT_NUMERIC,
     EXIT_OK,
     MAX_ENTANGLE_GRID,
+    MAX_ENTANGLE_TERMS,
     MAX_ORACLE_RUNS,
     MAX_SWEEP_CELLS,
     MAX_SWEEP_STEPS,
@@ -316,6 +325,61 @@ class TestLargestRun:
             expected = {r: attenuated_coincidence(16, r, 1.0, xi) for r in set(ports)}
             assert all(abs(float(v) - expected[r]) <= 1e-12 for v, r in zip(row[1:-1], ports))
             assert row[-1] == "0"
+
+
+class TestLargestEntangle:
+    # Below t = 1 the parser admits N = 12, whose scheme run stores 2^12 =
+    # MAX_ENTANGLE_TERMS terms; at t = 1 alone it admits N = 16.
+    PHASES = {"phi0": 0.4, "phi.1": -1.3, "phi.2": 2.2}
+
+    @pytest.mark.parametrize(
+        "n, m, grid, target, state",
+        [
+            (12, 10, (0.9, 1.0), "Psi+", bell_psi_plus()),
+            (12, 9, (1.0, 0.9), "GHZ3", ghz_class_three()),
+            (16, 14, (1.0,), "Phi-", bell_phi_minus()),
+            (16, 13, (1.0,), "F3", entangled_class_state(EntangledClass(EntangledClassId.F3, 3))),
+        ],
+        ids=["12-10", "12-9", "16-14", "16-13"],
+    )
+    def test_rows_match_closed_forms(self, tmp_path, n, m, grid, target, state):
+        assert min(grid) == 1.0 or 2**n == MAX_ENTANGLE_TERMS
+        lines = [f"command = entangle\nscheme.n = {n}\nscheme.m = {m}\ntarget = {target}"]
+        lines += [f"scheme.{key} = {value}" for key, value in self.PHASES.items()]
+        lines += [f"scheme.theta.{n} = 0.8", "entangle.grid = " + ",".join(map(str, grid))]
+        scenario, out = tmp_path / "large.scenario", tmp_path / "large.csv"
+        scenario.write_text("\n".join(lines) + "\n")
+        assert main(["entangle", "--scenario", str(scenario), "--out", str(out)]) == EXIT_OK
+        header, rows = read_rows(out)
+        assert header == ["transmission", "visibility", "concurrence", "fidelity", "three_tangle"]
+        assert [float(row[0]) for row in rows] == list(grid)
+        detected = n - m
+        xi = sum(self.PHASES.values()) - 0.8
+        for (_, vis, conc, fid, tangle), t in zip(rows, grid):
+            total_t = t**m
+            assert abs(float(vis) - total_t) <= 1e-9
+            if detected == 2:
+                assert abs(float(conc) - total_t) <= 1e-6
+            else:
+                assert float(conc) <= 1e-6
+            # rho = |A><A| + w |U><U|: A(x) = (T i^r + e^(i xi) i^(n-r)) / 2^((n+1)/2),
+            # U(x) = i^r / 2^(n/2) at r primed ports, w = (1 - T^2) / 2
+            overlap_a = overlap_u = 0j
+            for x in range(2**detected):
+                ports = tuple(int(bit) for bit in format(x, f"0{detected}b"))
+                amplitude = state.amplitude(detector_outcome(ports)).conjugate()
+                r = sum(ports)
+                overlap_a += amplitude * (total_t * 1j**r + cmath.exp(1j * xi) * 1j ** (detected - r))
+                overlap_u += amplitude * 1j**r
+            expected = (
+                abs(overlap_a) ** 2 / 2 ** (detected + 1)
+                + (1 - total_t**2) / 2 * abs(overlap_u) ** 2 / 2**detected
+            )
+            assert abs(float(fid) - expected) <= 1e-9
+            if detected == 3 and t == 1.0:
+                assert abs(float(tangle) - 1.0) <= 1e-9
+            else:
+                assert tangle == ""
 
 
 class TestPhasesNearTheFloatLimit:
