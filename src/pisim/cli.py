@@ -8,12 +8,12 @@ byte for byte.
 
 from __future__ import annotations
 
-import argparse
+import getopt
 import math
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -45,6 +45,8 @@ from .interferometer import (
     MAX_PARTICLES,
     DetectionOutcome,
     SchemeConfig,
+    _branch_phases,
+    _branch_table,
     branch_probabilities,
     conditional_detected_state,
     run_scheme,
@@ -65,6 +67,12 @@ EXIT_IO = 3
 COMMANDS = ("run", "sweep", "entangle", "oracle-check")
 TARGET_NAMES = ("Psi+", "Phi-", "GHZ3", "F1", "F2", "F3", "F4")
 DEFAULT_SEED = 42
+USAGE = "usage: pisim <command> --scenario <path> [--out <path>] [--seed <u64>]"
+HELP = f"""{USAGE}
+Commands: {", ".join(COMMANDS)}.  --out overrides the scenario's 'output';
+--seed (default {DEFAULT_SEED}) seeds oracle-check; -h or --help prints this text.
+"""
+_LONG_OPTIONS = ("help", "scenario=", "out=", "seed=")
 ROW_SUM_TOLERANCE = 1e-9
 ORACLE_TOLERANCE = 1e-9
 #: Phases of the visibility fit: 64 steps over one period.
@@ -117,10 +125,7 @@ class Scenario:
 
 
 def _fmt(value: float) -> str:
-    value = float(value)
-    if value == 0.0:
-        value = 0.0  # normalize -0.0
-    return format(value, ".12g")
+    return format(float(value) + 0.0, ".12g")  # -0.0 + 0.0 is 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -157,27 +162,16 @@ class _Entries:
             return self.pairs[key]
         return None
 
-    def take_str(self, key: str, default: str | None = None) -> str | None:
-        found = self.take(key)
-        return found[0] if found else default
-
-    def take_int(self, key: str, default: int | None = None) -> int | None:
+    def take_as(self, key: str, kind: type = str, default: Any = None) -> Any:
+        """The value of ``key`` as ``kind`` (str, int or float), or ``default`` if absent."""
         found = self.take(key)
         if found is None:
             return default
         try:
-            return int(found[0])
+            return kind(found[0])
         except ValueError:
-            raise self.error(key, f"expected an integer, got {found[0]!r}")
-
-    def take_float(self, key: str, default: float | None = None) -> float | None:
-        found = self.take(key)
-        if found is None:
-            return default
-        try:
-            return float(found[0])
-        except ValueError:
-            raise self.error(key, f"expected a number, got {found[0]!r}")
+            what = "an integer" if kind is int else "a number"
+            raise self.error(key, f"expected {what}, got {found[0]!r}")
 
     def matching(self, prefix: str) -> list[str]:
         return [k for k in self.pairs if k.startswith(prefix)]
@@ -187,8 +181,8 @@ def _parse_scheme(entries: _Entries, required: bool) -> SchemeConfig | None:
     has_any = bool(entries.matching("scheme."))
     if not has_any and not required:
         return None
-    n = entries.take_int("scheme.n")
-    m = entries.take_int("scheme.m")
+    n = entries.take_as("scheme.n", int)
+    m = entries.take_as("scheme.m", int)
     for key, value in (("scheme.n", n), ("scheme.m", m)):
         if value is None:
             raise entries.error(key, "missing key")
@@ -196,11 +190,11 @@ def _parse_scheme(entries: _Entries, required: bool) -> SchemeConfig | None:
         raise entries.error("scheme.n", f"scheme.n must lie in [1, {MAX_PARTICLES}]")
     if not 0 <= m <= n:
         raise entries.error("scheme.m", f"scheme.m must lie in [0, {n}]")
-    phi0 = entries.take_float("scheme.phi0", 0.0)
-    phi = tuple(entries.take_float(f"scheme.phi.{j}", 0.0) for j in range(1, n - m + 1))
+    phi0 = entries.take_as("scheme.phi0", float, 0.0)
+    phi = tuple(entries.take_as(f"scheme.phi.{j}", float, 0.0) for j in range(1, n - m + 1))
     aligned = range(n - m + 1, n + 1)
-    theta = tuple(entries.take_float(f"scheme.theta.{l}", 0.0) for l in aligned)
-    trans = tuple(entries.take_float(f"scheme.transmission.{l}", 1.0) for l in aligned)
+    theta = tuple(entries.take_as(f"scheme.theta.{l}", float, 0.0) for l in aligned)
+    trans = tuple(entries.take_as(f"scheme.transmission.{l}", float, 1.0) for l in aligned)
     leftovers = [k for k in entries.matching("scheme.") if k not in entries.consumed]
     if leftovers:
         raise entries.error(leftovers[0], "key does not fit this scheme")
@@ -211,14 +205,14 @@ def _parse_scheme(entries: _Entries, required: bool) -> SchemeConfig | None:
 
 
 def _parse_sweep(entries: _Entries, scheme: SchemeConfig) -> SweepSpec:
-    variable = entries.take_str("sweep.variable")
+    variable = entries.take_as("sweep.variable")
     if variable is None:
         raise entries.error("sweep.variable", "missing key")
     try:
         scheme.replace_phase(variable, 0.0)
     except ValueError as exc:
         raise entries.error("sweep.variable", str(exc))
-    steps = entries.take_int("sweep.steps", 64)
+    steps = entries.take_as("sweep.steps", int, 64)
     if not 8 <= steps <= MAX_SWEEP_STEPS:
         raise entries.error("sweep.steps", f"sweep.steps must lie in [8, {MAX_SWEEP_STEPS}]")
     if steps * 2**scheme.n_detected > MAX_SWEEP_CELLS:
@@ -227,8 +221,8 @@ def _parse_sweep(entries: _Entries, scheme: SchemeConfig) -> SweepSpec:
             f"{steps} steps of 2^{scheme.n_detected} outcomes each exceed the limit of "
             f"{MAX_SWEEP_CELLS} cells per sweep",
         )
-    start = entries.take_float("sweep.start", 0.0)
-    stop = entries.take_float("sweep.stop", math.tau)
+    start = entries.take_as("sweep.start", float, 0.0)
+    stop = entries.take_as("sweep.stop", float, math.tau)
     for key, value in (("sweep.start", start), ("sweep.stop", stop)):
         if not math.isfinite(value):
             raise entries.error(key, f"{key} must be finite, got {value}")
@@ -254,9 +248,9 @@ def _parse_entangle_grid(entries: _Entries) -> tuple[float, ...] | None:
 
 def _parse_oracle(entries: _Entries) -> OracleSpec:
     spec = OracleSpec(
-        cases=entries.take_int("oracle.cases", 100),
-        max_detected=entries.take_int("oracle.max_detected", 5),
-        max_aligned=entries.take_int("oracle.max_aligned", 3),
+        cases=entries.take_as("oracle.cases", int, 100),
+        max_detected=entries.take_as("oracle.max_detected", int, 5),
+        max_aligned=entries.take_as("oracle.max_aligned", int, 3),
     )
     checks = (
         ("oracle.cases", spec.cases, 1, 100000),
@@ -301,7 +295,7 @@ def parse_scenario(text: str) -> Scenario:
     missing keys, type mismatches, and invariant violations.
     """
     entries = _Entries(text)
-    command = entries.take_str("command")
+    command = entries.take_as("command")
     if command is None:
         raise entries.error("command", "missing key")
     if command not in COMMANDS:
@@ -323,11 +317,11 @@ def parse_scenario(text: str) -> Scenario:
     entangle_grid = _parse_entangle_grid(entries) if command == "entangle" else None
     oracle = _parse_oracle(entries) if command == "oracle-check" else None
 
-    target = entries.take_str("target")
+    target = entries.take_as("target")
     if target is not None:
         _validate_target(target, scheme, entries)
 
-    output_path = entries.take_str("output")
+    output_path = entries.take_as("output")
     if output_path is not None and "\0" in output_path:
         raise entries.error("output", "path contains a NUL byte")
 
@@ -420,15 +414,11 @@ def _cmd_sweep(scenario: Scenario, path: str) -> int:
 
 
 def _entangle_figures(
-    cfg: SchemeConfig, target: PureState | None, outcomes: tuple[DetectionOutcome, ...]
+    cfg: SchemeConfig, target: PureState | None, curve: PatternCurve
 ) -> tuple[float, float, float | None, float | None]:
-    """Visibility, concurrence, fidelity to ``target`` and three-tangle of one
-    configuration, in CSV column order; ``None`` where a figure does not apply.
-    ``outcomes`` lists the configuration's detection outcomes."""
-    variable = f"theta.{cfg.n_detected + 1}"
-    pattern = branch_probabilities(cfg, variable, _VISIBILITY_GRID).marginal
-    curve = PatternCurve(variable, _VISIBILITY_GRID, outcomes, pattern)
-    pattern_visibility = visibility(curve, outcomes[0])
+    """Visibility of ``curve``, concurrence, fidelity to ``target`` and three-tangle of one
+    configuration, in CSV column order; ``None`` where a figure does not apply."""
+    pattern_visibility = visibility(curve, curve.outcomes[0])
 
     rho = conditional_detected_state(run_scheme(cfg))
     pair = concurrence(rho if cfg.n_detected == 2 else partial_trace(rho, (1, 2)))
@@ -449,11 +439,15 @@ def _cmd_entangle(scenario: Scenario) -> list[str]:
     grid = scenario.entangle_grid or DEFAULT_ENTANGLE_GRID
     target = _target_state(scenario.target, scheme.n_detected) if scenario.target else None
     outcomes = DetectionOutcome.all_outcomes(scheme.n_detected)
+    variable = f"theta.{scheme.n_detected + 1}"
+    phases = _branch_phases(scheme, variable, _VISIBILITY_GRID)
     columns = ("visibility", "concurrence", "fidelity", "three_tangle")
     lines = ["transmission," + ",".join(columns)]
     for t in grid:
         cfg = replace(scheme, transmission=(t,) * scheme.n_aligned)
-        figures = _entangle_figures(cfg, target, outcomes)
+        pattern = _branch_table(scheme.n_detected, phases, cfg.transmission).marginal
+        curve = PatternCurve(variable, _VISIBILITY_GRID, outcomes, pattern)
+        figures = _entangle_figures(cfg, target, curve)
         for name, value in zip(columns, figures):
             if value is not None and not -_FIGURE_SLACK <= value <= 1.0 + _FIGURE_SLACK:
                 raise ValidationError(f"{name} must lie in [0, 1], got {value}")
@@ -529,50 +523,57 @@ def execute(scenario: Scenario, out_path: str | None = None, seed: int = DEFAULT
         return EXIT_INVALID
 
 
-def _parse_seed(text: str) -> int:
-    value = int(text)
-    if not 0 <= value < 2**64:
-        raise argparse.ArgumentTypeError("seed must be an unsigned 64-bit integer")
-    return value
-
-
-def _parse_path(text: str) -> str:
-    if "\0" in text:
-        raise argparse.ArgumentTypeError("path contains a NUL byte")
-    return text
+def _arguments(argv: Sequence[str]) -> tuple[str, str, str | None, int] | None:
+    """Command, scenario, output path and seed of ``argv``; ``None`` asks for help."""
+    options, words = getopt.getopt(argv, "h", _LONG_OPTIONS)
+    later, extra = getopt.getopt(words[1:], "h", _LONG_OPTIONS)
+    values = dict(options + later)
+    if "-h" in values or "--help" in values:
+        return None
+    command = words[0] if words else None
+    if command not in COMMANDS or extra:
+        got = repr(" ".join(words[:1] + extra)) if words else "none"
+        raise getopt.GetoptError(f"expected one command of {', '.join(COMMANDS)}, got {got}")
+    if "--scenario" not in values:
+        raise getopt.GetoptError("the following arguments are required: --scenario")
+    for name in ("--scenario", "--out"):
+        if "\0" in values.get(name, ""):
+            raise getopt.GetoptError(f"argument {name}: path contains a NUL byte")
+    try:
+        seed = int(values.get("--seed", DEFAULT_SEED))
+    except ValueError:
+        seed = -1
+    if not 0 <= seed < 2**64:
+        raise getopt.GetoptError("argument --seed: seed must be an unsigned 64-bit integer")
+    return command, values["--scenario"], values.get("--out"), seed
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="pisim",
-        usage="pisim <command> --scenario <path> [--out <path>] [--seed <u64>]",
-        description="Simulate two-source path-identity interferometers from scenario files.",
-    )
-    parser.add_argument("command", choices=COMMANDS)
-    parser.add_argument("--scenario", required=True, type=_parse_path, help="scenario document")
-    parser.add_argument("--out", type=_parse_path, help="output file (overrides the scenario)")
-    parser.add_argument("--seed", type=_parse_seed, default=DEFAULT_SEED, help="64-bit seed")
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_OK if exc.code in (0, None) else EXIT_INVALID
-
+        args = _arguments(sys.argv[1:] if argv is None else argv)
+    except getopt.GetoptError as exc:
+        print(f"{USAGE}\npisim: error: {exc.msg}", file=sys.stderr)
+        return EXIT_INVALID
+    if args is None:
+        print(HELP, end="")
+        return EXIT_OK
+    command, scenario_path, out_path, seed = args
     try:
-        scenario = parse_scenario(Path(args.scenario).read_text(encoding="utf-8"))
+        scenario = parse_scenario(Path(scenario_path).read_text(encoding="utf-8"))
     except OSError as exc:
         print(f"pisim: cannot read scenario: {exc}", file=sys.stderr)
         return EXIT_IO
     except (ScenarioParseError, UnicodeDecodeError) as exc:
         print(f"pisim: scenario error: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    if scenario.command != args.command:
+    if scenario.command != command:
         print(
             f"pisim: scenario declares 'command = {scenario.command}' "
-            f"but '{args.command}' was requested",
+            f"but '{command}' was requested",
             file=sys.stderr,
         )
         return EXIT_INVALID
-    return execute(scenario, out_path=args.out, seed=args.seed)
+    return execute(scenario, out_path=out_path, seed=seed)
 
 
 if __name__ == "__main__":

@@ -369,7 +369,11 @@ def branch_probabilities(
     ``U = 2^(-n/2) i^r``, ``P = 2^(-n/2) i^(n-r)`` at ``r`` primed ports and ``T = prod t``,
     plus ``(1 - T^2)/2 |U|^2`` lost; ``|A| <= AMPLITUDE_EPSILON`` cancels, as in the engine.
     One row per ``grid`` value of the phase ``variable``, or for ``cfg``; n >= 1 detected."""
-    n = cfg.n_detected
+    return _branch_table(cfg.n_detected, _branch_phases(cfg, variable, grid), cfg.transmission)
+
+
+def _branch_phases(cfg: SchemeConfig, variable: str | None, grid: Sequence[float]) -> np.ndarray:
+    """The column of e^(-i xi) of :func:`branch_probabilities`, one row per phase value."""
     row = [cfg.phi0, *cfg.phi, *(-t for t in cfg.theta)]  # xi is the sum of the row
     slot, values = 0, [cfg.phi0]
     if variable is not None:
@@ -386,10 +390,15 @@ def branch_probabilities(
             phases.append(cmath.exp(-1j * hi) * complex(1.0, -lo))
         except OverflowError:  # a partial sum past the float range: one e^(-i phase) each
             phases.append(math.prod(cmath.exp(-1j * v) for v in row))
-    total = math.prod(cfg.transmission)
+    return np.array(phases)[:, None]
+
+
+def _branch_table(n: int, phases: np.ndarray, transmission: Sequence[float]) -> BranchTable:
+    """:func:`branch_probabilities` of n detected particles from its phase column."""
+    total = math.prod(transmission)
     # |A|^2 = |1 + T e^(-i xi) i^(2r-n)|^2 / 2^(n+1), r even, odd: flat in xi at T = 0
     turn = (1, -1j, -1, 1j)[n % 4] * np.array([1.0, -1.0])
-    weight = np.abs(1.0 + total * np.array(phases)[:, None] * turn) ** 2 * 0.5 ** (n + 1)
+    weight = np.abs(1.0 + total * phases * turn) ** 2 * 0.5 ** (n + 1)
     weight[weight <= AMPLITUDE_EPSILON**2] = 0.0
     loss_free = weight[:, [x.bit_count() & 1 for x in range(2**n)]]
     lost = (1.0 - total * total) / 2
