@@ -4,10 +4,14 @@ from __future__ import annotations
 
 import cmath
 import math
+import os
+import shutil
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from pisim import (
     DensityMatrix,
@@ -32,11 +36,13 @@ from pisim.cli import (
     EXIT_IO,
     EXIT_NUMERIC,
     EXIT_OK,
+    HELP,
     MAX_ENTANGLE_GRID,
     MAX_ENTANGLE_TERMS,
     MAX_ORACLE_RUNS,
     MAX_SWEEP_CELLS,
     MAX_SWEEP_STEPS,
+    USAGE,
     execute,
     main,
     parse_scenario,
@@ -703,3 +709,137 @@ class TestMainEntryPoint:
         err = capsys.readouterr().err
         assert err.endswith(f"pisim: error: argument {option}: path contains a NUL byte\n")
         assert not out.exists()
+
+
+#: Argument lists for ``main``: ``{s}`` is the golden ``run`` scenario, ``{o}`` the
+#: output file and ``{d}`` the test's directory.  "csv" expects the golden CSV at
+#: ``{o}`` and no stderr, "help" the help text on stdout, "usage" the usage line and
+#: one error line on stderr; neither of the last two writes ``{o}``.
+ARGUMENT_CASES = [
+    (["run", "--scenario={s}", "--out={o}"], EXIT_OK, "csv"),
+    (["--scenario={s}", "run", "--out={o}"], EXIT_OK, "csv"),
+    (["run", "--scen", "{s}", "--o", "{o}"], EXIT_OK, "csv"),
+    (["--sc={s}", "run", "--ou={o}", "--se=7"], EXIT_OK, "csv"),
+    (["run", "--scenario", "{s}", "--out", "{d}/first.csv", "--out", "{o}"], EXIT_OK, "csv"),
+    (["--out", "{d}/first.csv", "run", "--scenario", "{s}", "--out", "{o}"], EXIT_OK, "csv"),
+    (["run", "--scenario", "{d}/absent", "--scenario", "{s}", "--out", "{o}"], EXIT_OK, "csv"),
+    (["run", "--scenario", "{s}", "--out", "{o}", "--seed", "-1", "--seed", "0"], EXIT_OK, "csv"),
+    (["run", "--scenario", "{s}", "--out", "{o}", "--seed", str(2**64 - 1)], EXIT_OK, "csv"),
+    (["-h"], EXIT_OK, "help"),
+    (["--help"], EXIT_OK, "help"),
+    (["--he"], EXIT_OK, "help"),
+    (["-h", "run", "--scenario", "{s}", "--out", "{o}"], EXIT_OK, "help"),
+    (["run", "-h", "--scenario", "{s}", "--out", "{o}"], EXIT_OK, "help"),
+    (["run", "--scenario", "{s}", "--help", "--out", "{o}"], EXIT_OK, "help"),
+    (["run", "--scenario", "{s}", "--out", "{o}", "--help"], EXIT_OK, "help"),
+    (["--help", "bogus"], EXIT_OK, "help"),
+    ([], EXIT_INVALID, "usage"),
+    (["--scenario", "{s}", "--out", "{o}"], EXIT_INVALID, "usage"),
+    (["bogus", "--scenario", "{s}", "--out", "{o}"], EXIT_INVALID, "usage"),
+    (["run", "--out", "{o}"], EXIT_INVALID, "usage"),
+    (["run", "--scenario", "{s}", "--out", "{o}", "extra"], EXIT_INVALID, "usage"),
+    (["run", "extra", "--scenario", "{s}", "--out", "{o}"], EXIT_INVALID, "usage"),
+    (["run", "run", "--scenario", "{s}", "--out", "{o}"], EXIT_INVALID, "usage"),
+    (["run", "extra", "--help"], EXIT_INVALID, "usage"),
+    (["run", "--s", "{s}", "--out", "{o}"], EXIT_INVALID, "usage"),
+    (["run", "--scenario", "{s}", "--out", "{o}", "--bogus", "x"], EXIT_INVALID, "usage"),
+    (["run", "-x", "--scenario", "{s}", "--out", "{o}"], EXIT_INVALID, "usage"),
+    (["run", "--out", "{o}", "--scenario"], EXIT_INVALID, "usage"),
+    (["run", "--scenario", "{s}", "--out", "{o}", "--help=yes"], EXIT_INVALID, "usage"),
+    (["run", "--scenario", "{s}", "--out", "{o}", "--seed", "-1"], EXIT_INVALID, "usage"),
+    (["run", "--scenario", "{s}", "--out", "{o}", "--seed", str(2**64)], EXIT_INVALID, "usage"),
+    (["run", "--scenario", "{s}", "--out", "{o}", "--seed", "1.5"], EXIT_INVALID, "usage"),
+    (["run", "--scenario", "{s}", "--out", "{o}", "--seed="], EXIT_INVALID, "usage"),
+    (["run", "--scenario", "{s}", "--out", "{d}/x\0y"], EXIT_INVALID, "usage"),
+    (["run", "--scenario", "{d}/x\0y", "--out", "{o}"], EXIT_INVALID, "usage"),
+]
+
+
+class TestArguments:
+    """How ``main`` reads its argument list, before any scenario is parsed."""
+
+    @pytest.mark.parametrize(
+        "template, code, stream", ARGUMENT_CASES, ids=[" ".join(c[0]) for c in ARGUMENT_CASES]
+    )
+    def test_argument_list(self, tmp_path, capsys, template, code, stream):
+        out = tmp_path / "out.csv"
+        names = {"s": GOLDEN / "run_lossy.scenario", "o": out, "d": tmp_path}
+        assert main([word.format(**names) for word in template]) == code
+        printed = capsys.readouterr()
+        if stream == "csv":
+            assert out.read_bytes() == (GOLDEN / "run_lossy.csv").read_bytes()
+            assert printed.err == printed.out == ""
+        elif stream == "help":
+            assert printed.out == HELP and printed.err == ""
+        else:
+            first, second = printed.err.splitlines()
+            assert first == USAGE and second.startswith("pisim: error: ")
+            assert printed.err.endswith("\n") and printed.out == ""
+        assert not (tmp_path / "first.csv").exists()
+        assert out.exists() == (stream == "csv")
+
+    def test_help_names_every_command_and_option(self):
+        for word in ("run", "sweep", "entangle", "oracle-check", "--scenario", "--out", "--seed"):
+            assert word in HELP
+
+    def test_value_starting_with_a_dash_is_a_value(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["run", "--scenario", str(GOLDEN / "run_lossy.scenario"), "--out", "-x"]) == EXIT_OK
+        assert (tmp_path / "-x").read_bytes() == (GOLDEN / "run_lossy.csv").read_bytes()
+
+    def test_posixly_correct_changes_nothing(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("POSIXLY_CORRECT", "1")
+        out = tmp_path / "out.csv"
+        argv = ["run", "--scenario", str(GOLDEN / "run_lossy.scenario"), f"--out={out}"]
+        assert main(argv) == EXIT_OK
+        assert out.read_bytes() == (GOLDEN / "run_lossy.csv").read_bytes()
+
+
+#: Words that stand for files made fresh in a scratch directory for each example.
+_PLACEHOLDERS = ("<run>", "<sweep>", "<entangle>", "<oracle>", "<bad>", "<out>", "<dir>")
+_SCENARIO_COPIES = {"run": "run_lossy", "sweep": "sweep_lossy", "entangle": "entangle_psi_plus"}
+_WORDS = st.one_of(
+    st.sampled_from(
+        ["run", "sweep", "entangle", "oracle-check", "bogus", "--scenario", "--out", "--seed"]
+        + ["--sc", "--s", "--o", "-h", "--help", "-x", "--bogus", "=", "--", "-", ""]
+        + ["0", "42", "-1", str(2**64), "abc", "x\0y", *_PLACEHOLDERS]
+    ),
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=6),
+)
+_NOISE = st.lists(st.one_of(_WORDS, st.tuples(_WORDS, _WORDS).map("=".join)), max_size=4)
+#: Working argument lists, so that noise around them also reaches the commands.
+_CORES = [
+    [],
+    ["run", "--scenario", "<run>", "--out", "<out>"],
+    ["sweep", "--scenario", "<sweep>", "--out", "<out>"],
+    ["--scenario", "<entangle>", "entangle", "--out", "<out>"],
+    ["oracle-check", "--scenario", "<oracle>", "--out", "<out>", "--seed", "7"],
+]
+_ARGUMENT_LISTS = st.tuples(_NOISE, st.sampled_from(_CORES), _NOISE).map(lambda p: sum(p, []))
+
+
+@pytest.fixture(scope="module")
+def argument_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("arguments")
+
+
+@settings(max_examples=150, deadline=None)
+@given(words=_ARGUMENT_LISTS)
+def test_any_argument_list_exits_with_a_documented_code(argument_dir, words):
+    """Whatever the words, ``main`` returns an exit code in 0-3 and raises nothing."""
+    shutil.rmtree(argument_dir)
+    (argument_dir / "dir").mkdir(parents=True)
+    for name, golden in _SCENARIO_COPIES.items():
+        shutil.copy(GOLDEN / f"{golden}.scenario", argument_dir / name)
+    oracle = ["command = oracle-check", "oracle.cases = 1", "oracle.max_detected = 1"]
+    (argument_dir / "oracle").write_text("\n".join(oracle + ["oracle.max_aligned = 0\n"]))
+    (argument_dir / "bad").write_bytes(b"command = run\n\xff\n")
+    paths = {word: str(argument_dir / word.strip("<>")) for word in _PLACEHOLDERS}
+    here = os.getcwd()
+    os.chdir(argument_dir / "dir")  # a relative --out lands in the scratch directory
+    try:
+        code = main([paths.get(word, word) for word in words])
+        event(f"exit {code}")
+        assert code in (EXIT_OK, EXIT_INVALID, EXIT_NUMERIC, EXIT_IO)
+    finally:
+        os.chdir(here)
