@@ -12,7 +12,6 @@ import getopt
 import math
 import sys
 from dataclasses import dataclass, replace
-from pathlib import Path
 from typing import Any, Sequence
 
 import numpy as np
@@ -209,7 +208,7 @@ def _parse_sweep(entries: _Entries, scheme: SchemeConfig) -> SweepSpec:
     if variable is None:
         raise entries.error("sweep.variable", "missing key")
     try:
-        scheme.replace_phase(variable, 0.0)
+        scheme.phase_slot(variable)
     except ValueError as exc:
         raise entries.error("sweep.variable", str(exc))
     steps = entries.take_as("sweep.steps", int, 64)
@@ -371,7 +370,8 @@ def _target_state(name: str, n_detected: int) -> PureState:
 
 
 def _write_lines(path: str, lines: list[str]) -> None:
-    Path(path).write_text("\n".join(lines) + "\n")
+    with open(path, "wb") as out:
+        out.write(("\n".join(lines) + "\n").encode())
 
 
 def _row_sum_ok(probabilities: Sequence[float], lost: float) -> bool:
@@ -559,7 +559,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_OK
     command, scenario_path, out_path, seed = args
     try:
-        scenario = parse_scenario(Path(scenario_path).read_text(encoding="utf-8"))
+        with open(scenario_path, "rb") as source:
+            text = source.read()
+        scenario = parse_scenario(text.decode("utf-8"))
     except OSError as exc:
         print(f"pisim: cannot read scenario: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -132,26 +132,27 @@ class SchemeConfig:
             raise ValueError(f"particle {l} is not an aligned particle")
         return self.transmission[l - self.n_detected - 1]
 
-    def replace_phase(self, variable: str, value: float) -> SchemeConfig:
-        """New config with one phase replaced.
-
-        ``variable`` is ``"phi0"``, ``"phi.<j>"`` for a detected particle, or
-        ``"theta.<l>"`` for an aligned particle.
-        """
+    def phase_slot(self, variable: str) -> int:
+        """Index of the phase named ``variable`` in ``(phi0, *phi, *theta)``: 0 for ``"phi0"``,
+        j for ``"phi.<j>"`` of a detected particle and l for ``"theta.<l>"`` of an aligned
+        particle.  Any other name raises ValueError."""
         if variable == "phi0":
-            return replace(self, phi0=value)
+            return 0
         family, _, tail = variable.partition(".")
-        if family in ("phi", "theta") and tail.isdigit():
-            index = int(tail)
-            if family == "phi" and index in self.detected_range:
-                phi = list(self.phi)
-                phi[index - 1] = value
-                return replace(self, phi=tuple(phi))
-            if family == "theta" and index in self.aligned_range:
-                theta = list(self.theta)
-                theta[index - self.n_detected - 1] = value
-                return replace(self, theta=tuple(theta))
+        particles = {"phi": self.detected_range, "theta": self.aligned_range}.get(family, ())
+        try:  # isdecimal() holds for exactly the digits that int() reads
+            if tail.isdecimal() and int(tail) in particles:
+                return int(tail)
+        except ValueError:  # more digits than int() reads
+            pass
         raise ValueError(f"unknown phase variable {variable!r} for this scheme")
+
+    def replace_phase(self, variable: str, value: float) -> SchemeConfig:
+        """New config with the phase named ``variable`` (see :meth:`phase_slot`) set to ``value``."""
+        row = [self.phi0, *self.phi, *self.theta]
+        row[self.phase_slot(variable)] = value
+        n = self.n_detected
+        return replace(self, phi0=row[0], phi=tuple(row[1 : n + 1]), theta=tuple(row[n + 1 :]))
 
 
 @dataclass(frozen=True)
@@ -377,10 +378,8 @@ def _branch_phases(cfg: SchemeConfig, variable: str | None, grid: Sequence[float
     row = [cfg.phi0, *cfg.phi, *(-t for t in cfg.theta)]  # xi is the sum of the row
     slot, values = 0, [cfg.phi0]
     if variable is not None:
-        cfg.replace_phase(variable, 0.0)  # rejects a phase the scheme does not have
-        family, _, index = variable.partition(".")  # phi0, phi.<j> or theta.<l> is entry 0, j or l
-        slot, sign = int(index or 0), -1.0 if family == "theta" else 1.0
-        values = [sign * v for v in grid]
+        slot = cfg.phase_slot(variable)  # theta.<l> enters xi with a minus sign
+        values = [-v if slot > cfg.n_detected else v for v in grid]
     phases = []  # e^(-i xi), xi summed exactly as hi + lo: near a zero |A| is as exact as xi
     for value in values:
         row[slot] = value
