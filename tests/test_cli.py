@@ -3,8 +3,12 @@
 from __future__ import annotations
 
 import cmath
+import contextlib
+import io
+import itertools
 import math
 import os
+import re
 import shutil
 from pathlib import Path
 
@@ -711,6 +715,82 @@ class TestMainEntryPoint:
         assert not out.exists()
 
 
+    def test_non_ascii_digit_is_an_unknown_phase(self, tmp_path, capsys):
+        scenario_path = tmp_path / "case.scenario"
+        scenario_path.write_text(CASE_I_SWEEP.replace("theta.3", "phi.²"), encoding="utf-8")
+        out = tmp_path / "out.csv"
+        assert main(["sweep", "--scenario", str(scenario_path), "--out", str(out)]) == EXIT_INVALID
+        assert capsys.readouterr().err == (
+            "pisim: scenario error: line 6, key 'sweep.variable': "
+            "unknown phase variable 'phi.²' for this scheme\n"
+        )
+        assert not out.exists()
+
+
+def _mixed_line_ends(text: str) -> str:
+    """``text`` with its line ends cycling through CR LF, LF and CR; a CR is never
+    followed by a LF of the next line end, so the line count stays the same."""
+    ends = itertools.cycle(["\r\n", "\n", "\r"])
+    return re.sub("\n", lambda _: next(ends), text)
+
+
+LINE_ENDS = {
+    "crlf": lambda text: text.replace("\n", "\r\n"),
+    "cr": lambda text: text.replace("\n", "\r"),
+    "mixed": _mixed_line_ends,
+}
+
+
+class TestFiles:
+    """Scenarios are read and CSVs written as bytes, through the paths as given."""
+
+    @pytest.mark.parametrize("ends", LINE_ENDS)
+    @pytest.mark.parametrize("scenario", sorted(GOLDEN.glob("*.scenario")), ids=lambda p: p.stem)
+    def test_any_line_ends_give_the_golden_bytes(self, tmp_path, scenario, ends):
+        text = scenario.read_bytes().decode("utf-8")
+        assert text.count("\n") >= 3 and "\r" not in text
+        copy = tmp_path / scenario.name
+        copy.write_bytes(LINE_ENDS[ends](text).encode("utf-8"))
+        out = tmp_path / "out.csv"
+        command = parse_scenario(text).command
+        assert main([command, "--scenario", str(copy), "--out", str(out)]) == EXIT_OK
+        assert out.read_bytes() == scenario.with_suffix(".csv").read_bytes()
+
+    @pytest.mark.parametrize("ends", ["crlf", "cr"])
+    def test_parse_error_line_is_the_same_for_any_line_ends(self, tmp_path, capsys, ends):
+        text = "# comment\n\ncommand = run\nscheme.n = 3\n\nscheme.m = 1\nbogus = 1\n"
+        errors = []
+        for name, data in (("lf", text), (ends, LINE_ENDS[ends](text))):
+            path = tmp_path / f"{name}.scenario"
+            path.write_bytes(data.encode("utf-8"))
+            assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "o.csv")]) == 1
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1] == "pisim: scenario error: line 7, key 'bogus': unknown key\n"
+
+    @pytest.mark.parametrize(
+        "scenario, out, message",
+        [
+            ("{s}", "{o}/x.csv/", "pisim: cannot write output: "),
+            ("{s}/", "{o}/x.csv", "pisim: cannot read scenario: "),
+            ("{d}/absent.scenario", "{o}/x.csv", "pisim: cannot read scenario: "),
+            ("{d}", "{o}/x.csv", "pisim: cannot read scenario: "),
+        ],
+        ids=["output-with-trailing-slash", "scenario-with-trailing-slash", "missing", "directory"],
+    )
+    def test_path_that_is_no_file_exits_io(self, tmp_path, capsys, scenario, out, message):
+        """Paths reach the operating system as given: a trailing slash is kept."""
+        scenario_path = tmp_path / "run.scenario"
+        shutil.copy(GOLDEN / "run_lossy.scenario", scenario_path)
+        (tmp_path / "out").mkdir()
+        names = {"s": scenario_path, "o": tmp_path / "out", "d": tmp_path}
+        argv = ["run", "--scenario", scenario.format(**names), "--out", out.format(**names)]
+        assert main(argv) == EXIT_IO
+        printed = capsys.readouterr()
+        assert printed.err.startswith(message) and printed.err.count("\n") == 1
+        assert printed.out == ""
+        assert list((tmp_path / "out").iterdir()) == []
+
+
 #: Argument lists for ``main``: ``{s}`` is the golden ``run`` scenario, ``{o}`` the
 #: output file and ``{d}`` the test's directory.  "csv" expects the golden CSV at
 #: ``{o}`` and no stderr, "help" the help text on stdout, "usage" the usage line and
@@ -843,3 +923,46 @@ def test_any_argument_list_exits_with_a_documented_code(argument_dir, words):
         assert code in (EXIT_OK, EXIT_INVALID, EXIT_NUMERIC, EXIT_IO)
     finally:
         os.chdir(here)
+
+
+#: Phase names and near misses: accepted names, non-ASCII digits, signs, spaces,
+#: comments, a slot the scheme lacks and an index past int()'s digit limit.
+_VARIABLE_NAMES = st.sampled_from(
+    ["phi0", "phi.1", "phi.02", "phi.٢", "theta.3", "theta.03", "phi.²", "theta.³", "phi."]
+    + ["phi.-1", "phi.+1", "phi. 1", "phi.3", "theta.1", "tau.1", "#", "phi.1 # c", "x=y"]
+    + ["phi." + "9" * 5000, "\0", "ϕ0"]
+)
+_VARIABLE_PARTS = st.text(st.characters(blacklist_categories=("Cs",)), max_size=6)
+_VARIABLE_TEXT = st.one_of(
+    _VARIABLE_NAMES,
+    st.tuples(st.sampled_from(["phi.", "theta."]), st.text("012²³٢ +-", max_size=3)).map("".join),
+    _VARIABLE_PARTS,
+    st.tuples(_VARIABLE_NAMES, _VARIABLE_PARTS).map("".join),
+).filter(lambda text: len(f"<{text}>".splitlines()) == 1)  # the value stays on its line
+
+
+@pytest.fixture(scope="module")
+def variable_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("variables")
+
+
+@settings(max_examples=200, deadline=None)
+@given(variable=_VARIABLE_TEXT)
+def test_any_sweep_variable_exits_ok_or_names_its_key(variable_dir, variable):
+    """Whatever follows ``sweep.variable =`` on line 6, ``main`` returns 0 or 1 and raises
+    nothing, and an exit 1 is one line naming that key and line: an unknown phase
+    variable or, when a comment or blanks leave no value, a missing value."""
+    scenario_path, out = variable_dir / "variable.scenario", variable_dir / "variable.csv"
+    text = CASE_I_SWEEP.replace("sweep.variable = theta.3", f"sweep.variable = {variable}")
+    scenario_path.write_bytes(text.encode("utf-8"))
+    capture = io.StringIO()
+    with contextlib.redirect_stderr(capture):
+        code = main(["sweep", "--scenario", str(scenario_path), "--out", str(out)])
+    event(f"exit {code}")
+    assert code in (EXIT_OK, EXIT_INVALID)
+    if code == EXIT_INVALID:
+        err = capture.getvalue()
+        prefix = re.escape("pisim: scenario error: line 6, key 'sweep.variable': ")
+        reason = "(unknown phase variable .* for this scheme|missing key or value)\n"
+        assert re.fullmatch(prefix + reason, err, re.DOTALL)
+        assert err.count("\n") == 1

@@ -43,6 +43,7 @@ from pisim import (
     source_beam,
     state_fidelity,
 )
+from pisim.interferometer import branch_probabilities
 from conftest import assert_states_close, attenuated_coincidence, case_i
 
 ROOT_HALF = math.sqrt(0.5)
@@ -124,6 +125,36 @@ class TestSchemeConfig:
         for bad in ("phi.3", "theta.1", "tau.1", "phi.x"):
             with pytest.raises(ValueError):
                 cfg.replace_phase(bad, 1.0)
+
+    @pytest.mark.parametrize(
+        "variable, slot",
+        [("phi0", 0), ("phi.1", 1), ("phi.2", 2), ("phi.01", 1), ("phi.٢", 2)]
+        + [("theta.3", 3), ("theta.4", 4), ("theta.004", 4)],
+    )
+    def test_phase_slot_accepts(self, variable, slot):
+        """Detected particles 1-2, aligned 3-4; the slot indexes (phi0, *phi, *theta)."""
+        cfg = SchemeConfig(4, 2, phi0=0.1, phi=(0.2, 0.3), theta=(0.4, 0.5))
+        assert cfg.phase_slot(variable) == slot
+        moved = cfg.replace_phase(variable, 9.0)
+        expected = [9.0 if k == slot else v for k, v in enumerate([0.1, 0.2, 0.3, 0.4, 0.5])]
+        assert [moved.phi0, *moved.phi, *moved.theta] == expected
+
+    @pytest.mark.parametrize(
+        "variable",
+        ["phi.²", "theta.³", "phi.", "theta.", "phi.-1", "phi.+1", "phi. 1", "phi.1 ", "phi.0"]
+        + ["theta.1", "theta.2", "phi.3", "phi.4", "theta.5", "tau.1", "phi", "phi0.1", ""]
+        + ["phi." + "9" * 5000],
+        ids=lambda v: repr(v[:12]),
+    )
+    def test_phase_slot_rejects(self, variable):
+        cfg = SchemeConfig(4, 2)
+        for call in (
+            lambda: cfg.phase_slot(variable),
+            lambda: cfg.replace_phase(variable, 1.0),
+            lambda: branch_probabilities(cfg, variable, [0.0, 1.0]),
+        ):
+            with pytest.raises(ValueError, match="unknown phase variable"):
+                call()
 
 
 class TestBuildTwoSourceState:
