@@ -27,10 +27,7 @@ from .analysis import (
 from .closed_form import (
     EntangledClass,
     EntangledClassId,
-    bell_phi_minus,
-    bell_psi_plus,
     entangled_class_state,
-    ghz_class_three,
     predicted_output_state,
 )
 from .errors import (
@@ -64,7 +61,10 @@ EXIT_NUMERIC = 2
 EXIT_IO = 3
 
 COMMANDS = ("run", "sweep", "entangle", "oracle-check")
-TARGET_NAMES = ("Psi+", "Phi-", "GHZ3", "F1", "F2", "F3", "F4")
+#: Target names: the F class each names, and the detected-particle count a named state needs.
+_TARGETS = {"Psi+": ("F2", 2), "Phi-": ("F1", 2), "GHZ3": ("F3", 3)}
+_TARGETS.update((name, (name, None)) for name in ("F1", "F2", "F3", "F4"))
+TARGET_NAMES = tuple(_TARGETS)
 DEFAULT_SEED = 42
 USAGE = "usage: pisim <command> --scenario <path> [--out <path>] [--seed <u64>]"
 HELP = f"""{USAGE}
@@ -131,12 +131,17 @@ def _fmt(value: float) -> str:
 # scenario parsing
 
 
+#: ``take_as`` default of a key the document must give.
+_REQUIRED = object()
+
+
 class _Entries:
     """Key/value pairs with line numbers and consumption tracking."""
 
     def __init__(self, text: str):
         self.pairs: dict[str, tuple[str, int]] = {}
-        for lineno, raw in enumerate(text.splitlines(), start=1):
+        lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")  # only these end a line
+        for lineno, raw in enumerate(lines, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
@@ -162,9 +167,12 @@ class _Entries:
         return None
 
     def take_as(self, key: str, kind: type = str, default: Any = None) -> Any:
-        """The value of ``key`` as ``kind`` (str, int or float), or ``default`` if absent."""
+        """The value of ``key`` as ``kind`` (str, int or float), or ``default`` if absent;
+        an absent key with the default ``_REQUIRED`` is a "missing key" error."""
         found = self.take(key)
         if found is None:
+            if default is _REQUIRED:
+                raise self.error(key, "missing key")
             return default
         try:
             return kind(found[0])
@@ -180,11 +188,8 @@ def _parse_scheme(entries: _Entries, required: bool) -> SchemeConfig | None:
     has_any = bool(entries.matching("scheme."))
     if not has_any and not required:
         return None
-    n = entries.take_as("scheme.n", int)
-    m = entries.take_as("scheme.m", int)
-    for key, value in (("scheme.n", n), ("scheme.m", m)):
-        if value is None:
-            raise entries.error(key, "missing key")
+    n = entries.take_as("scheme.n", int, _REQUIRED)
+    m = entries.take_as("scheme.m", int, _REQUIRED)
     if not 1 <= n <= MAX_PARTICLES:
         raise entries.error("scheme.n", f"scheme.n must lie in [1, {MAX_PARTICLES}]")
     if not 0 <= m <= n:
@@ -204,9 +209,7 @@ def _parse_scheme(entries: _Entries, required: bool) -> SchemeConfig | None:
 
 
 def _parse_sweep(entries: _Entries, scheme: SchemeConfig) -> SweepSpec:
-    variable = entries.take_as("sweep.variable")
-    if variable is None:
-        raise entries.error("sweep.variable", "missing key")
+    variable = entries.take_as("sweep.variable", str, _REQUIRED)
     try:
         scheme.phase_slot(variable)
     except ValueError as exc:
@@ -265,24 +268,24 @@ def _parse_oracle(entries: _Entries) -> OracleSpec:
     return spec
 
 
+def _target_class(name: str, n_detected: int) -> EntangledClass:
+    """The F class that target ``name`` names at ``n_detected`` detected particles;
+    ValueError if it names none there."""
+    class_name, needs = _TARGETS[name]
+    if needs not in (None, n_detected):
+        count = "two" if needs == 2 else "three"
+        raise ValueError(f"target {name} needs {count} detected particles, scheme has {n_detected}")
+    return EntangledClass(EntangledClassId(class_name), n_detected)
+
+
 def _validate_target(name: str, scheme: SchemeConfig | None, entries: _Entries) -> None:
-    if name not in TARGET_NAMES:
+    if name not in _TARGETS:
         raise entries.error(
             "target", f"unknown target {name!r} (expected one of {', '.join(TARGET_NAMES)})"
         )
-    if scheme is None:
-        return
-    n = scheme.n_detected
-    needs = {"Psi+": n == 2, "Phi-": n == 2, "GHZ3": n == 3}
-    if name in needs and not needs[name]:
-        raise entries.error(
-            "target",
-            f"target {name} needs {'two' if name != 'GHZ3' else 'three'} detected particles, "
-            f"scheme has {n}",
-        )
-    if name.startswith("F"):
+    if scheme is not None:
         try:
-            EntangledClass(EntangledClassId(name), n)
+            _target_class(name, scheme.n_detected)
         except ValueError as exc:
             raise entries.error("target", str(exc))
 
@@ -294,9 +297,7 @@ def parse_scenario(text: str) -> Scenario:
     missing keys, type mismatches, and invariant violations.
     """
     entries = _Entries(text)
-    command = entries.take_as("command")
-    if command is None:
-        raise entries.error("command", "missing key")
+    command = entries.take_as("command", str, _REQUIRED)
     if command not in COMMANDS:
         raise entries.error(
             "command", f"unknown command {command!r} (expected one of {', '.join(COMMANDS)})"
@@ -357,16 +358,6 @@ def parse_scenario(text: str) -> Scenario:
 
 # ---------------------------------------------------------------------------
 # command execution
-
-
-def _target_state(name: str, n_detected: int) -> PureState:
-    if name == "Psi+":
-        return bell_psi_plus()
-    if name == "Phi-":
-        return bell_phi_minus()
-    if name == "GHZ3":
-        return ghz_class_three()
-    return entangled_class_state(EntangledClass(EntangledClassId(name), n_detected))
 
 
 def _write_lines(path: str, lines: list[str]) -> None:
@@ -437,7 +428,8 @@ def _entangle_figures(
 def _cmd_entangle(scenario: Scenario) -> list[str]:
     scheme = scenario.scheme
     grid = scenario.entangle_grid or DEFAULT_ENTANGLE_GRID
-    target = _target_state(scenario.target, scheme.n_detected) if scenario.target else None
+    name = scenario.target
+    target = entangled_class_state(_target_class(name, scheme.n_detected)) if name else None
     outcomes = DetectionOutcome.all_outcomes(scheme.n_detected)
     variable = f"theta.{scheme.n_detected + 1}"
     phases = _branch_phases(scheme, variable, _VISIBILITY_GRID)

@@ -100,7 +100,7 @@ def entangled_class_state(cls: EntangledClass) -> PureState:
     """
     r_values = cls.dicke_r_values
     total = sum(math.comb(cls.n, r) for r in r_values)
-    amp = 1.0 / math.sqrt(total)
+    amp = math.sqrt(1.0 / total)  # total is 2^(n-1), so 1/total is exact
     terms = []
     for position, r in enumerate(r_values):
         sign = -amp if position % 2 else amp
@@ -134,28 +134,16 @@ def predicted_probability(n: int, r: int, xi: float) -> float:
 
 
 def bell_psi_plus() -> PureState:
-    """(|01> + |10>)/sqrt(2) on two detected particles."""
-    amp = math.sqrt(0.5)
-    return pure_state_from_terms(
-        [(detector_outcome((0, 1)), amp), (detector_outcome((1, 0)), amp)]
-    )
+    """(|01> + |10>)/sqrt(2) on two detected particles: the F2 state of two."""
+    return entangled_class_state(EntangledClass(EntangledClassId.F2, 2))
 
 
 def bell_phi_minus() -> PureState:
-    """(|00> - |11>)/sqrt(2) on two detected particles."""
-    amp = math.sqrt(0.5)
-    return pure_state_from_terms(
-        [(detector_outcome((0, 0)), amp), (detector_outcome((1, 1)), -amp)]
-    )
+    """(|00> - |11>)/sqrt(2) on two detected particles: the F1 state of two."""
+    return entangled_class_state(EntangledClass(EntangledClassId.F1, 2))
 
 
 def ghz_class_three() -> PureState:
-    """(|000> - |110> - |101> - |011>)/2, the three-detected GHZ-class output."""
-    return pure_state_from_terms(
-        [
-            (detector_outcome((0, 0, 0)), 0.5),
-            (detector_outcome((1, 1, 0)), -0.5),
-            (detector_outcome((1, 0, 1)), -0.5),
-            (detector_outcome((0, 1, 1)), -0.5),
-        ]
-    )
+    """(|000> - |110> - |101> - |011>)/2, the three-detected GHZ-class output: the F3
+    state of three."""
+    return entangled_class_state(EntangledClass(EntangledClassId.F3, 3))

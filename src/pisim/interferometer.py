@@ -89,8 +89,8 @@ class SchemeConfig:
         for name, values, size in sizes:
             if len(values) != size:
                 raise ConfigError(f"{name} must have {size} entries, got {len(values)}", field=name)
-        aligned = range(n - m + 1, n + 1)
-        phi = tuple(_real(x, f"phi.{j}") for j, x in enumerate(phi, 1))
+        aligned = self.aligned_range
+        phi = tuple(_real(x, f"phi.{j}") for j, x in zip(self.detected_range, phi))
         theta = tuple(_real(x, f"theta.{l}") for l, x in zip(aligned, theta))
         trans = tuple(_real(x, f"transmission.{l}", 0.0, 1.0) for l, x in zip(aligned, trans))
         object.__setattr__(self, "phi0", _real(self.phi0, "phi0"))
@@ -116,21 +116,6 @@ class SchemeConfig:
     def xi(self) -> float:
         """Interference phase phi0 + sum(phi) - sum(theta) the output depends on."""
         return self.phi0 + sum(self.phi) - sum(self.theta)
-
-    def phi_for(self, j: int) -> float:
-        if j not in self.detected_range:
-            raise ValueError(f"particle {j} is not a detected particle")
-        return self.phi[j - 1]
-
-    def theta_for(self, l: int) -> float:
-        if l not in self.aligned_range:
-            raise ValueError(f"particle {l} is not an aligned particle")
-        return self.theta[l - self.n_detected - 1]
-
-    def transmission_for(self, l: int) -> float:
-        if l not in self.aligned_range:
-            raise ValueError(f"particle {l} is not an aligned particle")
-        return self.transmission[l - self.n_detected - 1]
 
     def phase_slot(self, variable: str) -> int:
         """Index of the phase named ``variable`` in ``(phi0, *phi, *theta)``: 0 for ``"phi0"``,
@@ -289,10 +274,10 @@ def run_scheme(cfg: SchemeConfig) -> PureState:
     if cfg.n_detected == 0:
         raise ConfigError("run_scheme needs at least one detected particle (n_aligned < n_particles)")
     state = build_two_source_state(cfg)
-    for l in cfg.aligned_range:
-        state = apply_path_identity(state, l, cfg.theta_for(l), cfg.transmission_for(l))
-    for j in cfg.detected_range:
-        state = apply_beam_splitter(state, j, cfg.phi_for(j))
+    for l, theta, transmission in zip(cfg.aligned_range, cfg.theta, cfg.transmission):
+        state = apply_path_identity(state, l, theta, transmission)
+    for j, phi in zip(cfg.detected_range, cfg.phi):
+        state = apply_beam_splitter(state, j, phi)
     return state
 
 
@@ -386,7 +371,7 @@ def _branch_phases(cfg: SchemeConfig, variable: str | None, grid: Sequence[float
         try:
             hi = math.fsum(row)
             lo = math.fsum(itertools.chain(row, (-hi,)))
-            phases.append(cmath.exp(-1j * hi) * complex(1.0, -lo))
+            phases.append(cmath.exp(-1j * hi) * cmath.exp(-1j * lo))
         except OverflowError:  # a partial sum past the float range: one e^(-i phase) each
             phases.append(math.prod(cmath.exp(-1j * v) for v in row))
     return np.array(phases)[:, None]

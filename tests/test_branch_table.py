@@ -6,6 +6,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -95,3 +96,18 @@ class TestThreeRoutes:
         assert table.loss_free.shape == (len(grid), 2**cfg.n_detected)
         for row, value in enumerate(grid):
             assert_matches_engine(cfg.replace_phase(variable, value), table, row)
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            SchemeConfig(5, 1, phi=(0.0, 0.0, -1.7e308, 0.0), theta=(0.5,)),
+            SchemeConfig(3, 1, phi0=1e15, phi=(0.3, -2.0), transmission=(0.8,)),
+        ],
+        ids=["0.5-lost-to-1.7e308", "0.3-beside-1e15"],
+    )
+    def test_phase_left_over_by_a_large_sum(self, cfg):
+        # the float sum of the phases drops (part of) the small one; the remainder
+        # must still turn the phase, as a unit factor
+        table = branch_probabilities(cfg)
+        assert_matches_engine(cfg, table)
+        assert abs(table.loss_free.sum() + table.lost - 1.0) <= 1e-12

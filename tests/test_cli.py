@@ -36,6 +36,7 @@ from pisim import (
     run_scheme,
 )
 from pisim.cli import (
+    DEFAULT_ENTANGLE_GRID,
     EXIT_INVALID,
     EXIT_IO,
     EXIT_NUMERIC,
@@ -269,6 +270,83 @@ class TestParseScenario:
         scenario = parse_scenario(text)
         assert scenario.scheme.theta == (0.3, 0.4)
         assert scenario.sweep.steps == 64
+
+
+#: Every target name, in the order the "unknown target" message lists them.
+TARGETS = ("Psi+", "Phi-", "GHZ3", "F1", "F2", "F3", "F4")
+
+
+class TestRequiredKeysAndBounds:
+    """The keys a document must give, the scheme's size bounds and each target's
+    detected-particle count, each reported under its key."""
+
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            ("scheme.n = 3\nscheme.m = 1\n", "command"),
+            ("command = run\nscheme.m = 1\n", "scheme.n"),
+            ("command = entangle\nscheme.n = 3\n", "scheme.m"),
+            ("command = sweep\nscheme.m = 1\nscheme.n = 3\nsweep.steps = 8\n", "sweep.variable"),
+            ("command = oracle-check\nscheme.m = 1\n", "scheme.n"),  # a scheme key needs both
+            ("command = run\n", "scheme.n"),
+            ("command = run\nscheme.m = x\n", "scheme.n"),  # named before scheme.m is read
+        ],
+        ids=[
+            "command", "scheme.n", "scheme.m", "sweep.variable", "oracle-scheme.n", "no-scheme",
+            "before-a-bad-scheme.m",
+        ],  # fmt: skip
+    )
+    def test_missing_key_is_named(self, text, key):
+        with pytest.raises(ScenarioParseError) as info:
+            parse_scenario(text)
+        assert (info.value.key, info.value.line) == (key, None)
+        assert str(info.value) == f"key '{key}': missing key"
+
+    @pytest.mark.parametrize(
+        "n, m, key, line, message",
+        [
+            (0, 0, "scheme.n", 3, "scheme.n must lie in [1, 16]"),
+            (17, 1, "scheme.n", 3, "scheme.n must lie in [1, 16]"),
+            (3, -1, "scheme.m", 4, "scheme.m must lie in [0, 3]"),
+            (3, 4, "scheme.m", 4, "scheme.m must lie in [0, 3]"),
+        ],
+    )
+    def test_scheme_size_bounds_name_key_and_line(self, n, m, key, line, message):
+        with pytest.raises(ScenarioParseError) as info:
+            parse_scenario(f"command = run\n# size\nscheme.n = {n}\nscheme.m = {m}\n")
+        assert str(info.value) == f"line {line}, key '{key}': {message}"
+
+    @pytest.mark.parametrize("detected", range(1, 6))
+    @pytest.mark.parametrize("target", TARGETS)
+    @pytest.mark.parametrize("command", ["run", "entangle"])
+    def test_target_at_each_detected_count(self, command, target, detected):
+        text = f"command = {command}\nscheme.n = {detected + 1}\nscheme.m = 1\ntarget = {target}\n"
+        needs = {"Psi+": "two", "Phi-": "two", "GHZ3": "three"}.get(target)
+        if needs and detected != ("two", "three").index(needs) + 2:
+            message = f"line 4, key 'target': target {target} needs {needs} detected particles"
+            message += f", scheme has {detected}"
+        elif target in ("F1", "F2") and detected % 2:
+            message = f"line 4, key 'target': {target} requires even n >= 2, got n={detected}"
+        elif target in ("F3", "F4") and not detected % 2:
+            message = f"line 4, key 'target': {target} requires odd n >= 1, got n={detected}"
+        elif command == "entangle" and detected not in (2, 3):
+            message = "line 2, key 'scheme.n': entangle supports two or three detected particles"
+        else:
+            assert parse_scenario(text).target == target
+            return
+        with pytest.raises(ScenarioParseError) as info:
+            parse_scenario(text)
+        assert str(info.value) == message
+
+    def test_unknown_target_lists_every_name(self):
+        with pytest.raises(ScenarioParseError) as info:
+            parse_scenario(CASE_I_RUN + "target = F5\n")
+        names = ", ".join(TARGETS)
+        assert str(info.value) == f"line 6, key 'target': unknown target 'F5' (expected one of {names})"
+
+    @pytest.mark.parametrize("target", TARGETS)
+    def test_target_without_a_scheme_is_only_named(self, target):
+        assert parse_scenario(f"command = oracle-check\ntarget = {target}\n").target == target
 
 
 class TestRunCommand:
@@ -739,6 +817,12 @@ LINE_ENDS = {
     "cr": lambda text: text.replace("\n", "\r"),
     "mixed": _mixed_line_ends,
 }
+#: Characters at which ``str.splitlines()`` breaks but a scenario line does not end:
+#: only "\n", "\r\n" and "\r" end one.
+OTHER_BREAKS = {
+    "ff": "\x0c", "vt": "\x0b", "fs": "\x1c", "gs": "\x1d", "rs": "\x1e",
+    "nel": "\x85", "ls": "\u2028", "ps": "\u2029",
+}  # fmt: skip
 
 
 class TestFiles:
@@ -766,6 +850,34 @@ class TestFiles:
             assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "o.csv")]) == 1
             errors.append(capsys.readouterr().err)
         assert errors[0] == errors[1] == "pisim: scenario error: line 7, key 'bogus': unknown key\n"
+
+    @pytest.mark.parametrize("char", OTHER_BREAKS.values(), ids=OTHER_BREAKS)
+    def test_other_breaks_inside_comments_keep_the_golden_bytes(self, tmp_path, char):
+        lines = (GOLDEN / "run_lossy.scenario").read_bytes().decode("utf-8").split("\n")
+        lines[0] += f"{char}scheme.n = 1"  # the comment runs on past the character
+        lines[3] += f"  # two{char}scheme.m = 0"
+        copy, out = tmp_path / "run.scenario", tmp_path / "out.csv"
+        copy.write_bytes("\n".join(lines).encode("utf-8"))
+        assert main(["run", "--scenario", str(copy), "--out", str(out)]) == EXIT_OK
+        assert out.read_bytes() == (GOLDEN / "run_lossy.csv").read_bytes()
+
+    @pytest.mark.parametrize("char", OTHER_BREAKS.values(), ids=OTHER_BREAKS)
+    def test_other_breaks_keep_later_line_numbers(self, tmp_path, capsys, char):
+        head = f"command = run\n# a{char}b = 1\nscheme.n = 3\nscheme.m = 1\n"
+        cases = [
+            ("bogus = 1", "line 5, key 'bogus': unknown key"),
+            (f"scheme.phi0 = 1{char}5", f"line 5, key 'scheme.phi0': expected a number, got "
+             f"{'1' + char + '5'!r}"),
+            (f"target = Psi{char}+", f"line 5, key 'target': unknown target {'Psi' + char + '+'!r}"
+             f" (expected one of {', '.join(TARGETS)})"),
+        ]  # fmt: skip
+        path = tmp_path / "case.scenario"
+        for line, message in cases:
+            path.write_bytes((head + line + "\n").encode("utf-8"))
+            assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "o.csv")]) == 1
+            assert capsys.readouterr().err == f"pisim: scenario error: {message}\n"
+        path.write_bytes((head + f"scheme.phi0 = 1.5{char}\n").encode("utf-8"))  # trailing: blank
+        assert parse_scenario(path.read_bytes().decode("utf-8")).scheme.phi0 == 1.5
 
     @pytest.mark.parametrize(
         "scenario, out, message",
@@ -938,7 +1050,7 @@ _VARIABLE_TEXT = st.one_of(
     st.tuples(st.sampled_from(["phi.", "theta."]), st.text("012²³٢ +-", max_size=3)).map("".join),
     _VARIABLE_PARTS,
     st.tuples(_VARIABLE_NAMES, _VARIABLE_PARTS).map("".join),
-).filter(lambda text: len(f"<{text}>".splitlines()) == 1)  # the value stays on its line
+).filter(lambda text: "\r" not in text and "\n" not in text)  # the value keeps its line
 
 
 @pytest.fixture(scope="module")
@@ -966,3 +1078,173 @@ def test_any_sweep_variable_exits_ok_or_names_its_key(variable_dir, variable):
         reason = "(unknown phase variable .* for this scheme|missing key or value)\n"
         assert re.fullmatch(prefix + reason, err, re.DOTALL)
         assert err.count("\n") == 1
+
+
+#: Values of each scenario key: usual ones, then ones at the edges of its rules: 0, 1,
+#: each cap and one past it, huge numbers, NaN, inf, non-ASCII digits (int() reads "٣"
+#: but not "²") and text.
+_HUGE = "9" * 5000  # past int()'s digit limit; float() reads it as inf
+_FLOATS = (["0", "0.5", "-1.5", "2.5"], ["-0", "1e308", "-1.7e308", "1e309", "nan", "inf", "-inf", "٣", "²", _HUGE, "x"])
+_TRANSMISSIONS = (["1", "0.5", "0.9"], ["0", "-0", "1.5", "-0.1", "nan", "٠", "x"])
+_DOCUMENT_VALUES = {
+    "command": (["run", "sweep", "entangle", "oracle-check"], ["bogus"]),
+    "scheme.n": (["2", "3", "4", "5", "6"], ["1", "0", "12", "13", "16", "17", "-1", "٤", _HUGE]),
+    "scheme.m": (["1", "2"], ["0", "3", "-1", "4", "16", "17", "٢", "nan"]),
+    "scheme.phi0": _FLOATS,
+    "scheme.phi.<j>": _FLOATS,  # <j> and <l> become particle indices of the scheme
+    "scheme.theta.<l>": _FLOATS,
+    "scheme.transmission.<l>": _TRANSMISSIONS,
+    "sweep.variable": (["phi0", "phi.1", "theta.4"], ["phi.2", "theta.3", "theta.6", "phi.²", "phi.٢", "x"]),
+    "sweep.steps": (["8", "16", "64"], ["7", "17", "4096", "4097", "0", "-8", "٨", _HUGE]),
+    "sweep.start": _FLOATS,
+    "sweep.stop": _FLOATS,
+    "entangle.grid": (
+        ["1", "0,0.5,1", "0.5"],
+        ["0", "1.5", "-0.1", "nan", "0,,1", "١", "x", ",".join(["1"] * MAX_ENTANGLE_GRID)]
+        + [",".join(["0.5"] * (MAX_ENTANGLE_GRID + 1))],
+    ),
+    "target": (list(TARGETS), ["F5", "psi+"]),
+    "oracle.cases": (["1", "2", "3"], ["0", "69", "70", "100000", "100001", "٣", _HUGE]),
+    "oracle.max_detected": (["1", "2", "3"], ["8", "9", "0"]),
+    "oracle.max_aligned": (["0", "1", "2"], ["8", "9", "-1"]),
+    "output": (["x.csv"], ["a\0b"]),
+    "bogus": ([], ["1"]),
+    "scheme.bogus": ([], ["1"]),
+}
+#: The keys each command reads beyond ``command``, ``scheme.n`` and ``scheme.m``.
+_COMMAND_KEYS = {
+    "run": ("scheme.", "target", "output"),
+    "sweep": ("scheme.", "sweep.", "target", "output"),
+    "entangle": ("scheme.", "entangle.", "target", "output"),
+    "oracle-check": ("oracle.", "target", "output"),
+}
+#: Text inside comments and values: each character ends a line for str.splitlines() alone.
+_INSIDE = ["", *OTHER_BREAKS.values(), "é", "#"]
+
+
+@st.composite
+def _documents(draw):
+    """A scenario document: usually a command with its scheme and some of its own keys,
+    each with a usual value nine times in ten; sometimes a required key left out, a
+    duplicate or another command's key, comments, blank and broken lines; in any order,
+    with "\\n", "\\r\\n" and "\\r" line ends mixed."""
+    rnd = draw(st.randoms(use_true_random=True))
+
+    def value(key):
+        usual, edges = _DOCUMENT_VALUES[key]
+        return rnd.choice(usual if usual and rnd.random() < 0.9 else edges)
+
+    def particle(key):
+        """``key`` with ``<j>`` or ``<l>`` made a detected or aligned particle of the
+        scheme, or one time in ten an index just outside that range."""
+        if not key.endswith(">"):
+            return key
+        try:
+            n, m = int(sizes.get("scheme.n", "3")), int(sizes.get("scheme.m", "1"))
+        except ValueError:
+            n, m = 3, 1
+        low, high = (1, n - m) if key.endswith("<j>") else (n - m + 1, n)
+        if high < low or rnd.random() < 0.1:
+            return key[:-3] + str(rnd.choice([low - 1, high + 1]))
+        return key[:-3] + str(rnd.randint(low, high))
+
+    command = value("command")
+    required = ["command", "scheme.n", "scheme.m", "sweep.variable"][: 4 if command == "sweep" else 3]
+    pairs = [(key, command if key == "command" else value(key)) for key in required]
+    sizes = dict(pairs)
+    pairs = [pair for pair in pairs if rnd.random() < 0.95]
+    prefixes = _COMMAND_KEYS.get(command, ("scheme.",))
+    own = [key for key, (usual, _) in _DOCUMENT_VALUES.items() if usual and key.startswith(prefixes)]
+    own = [key for key in own if key not in required]
+    pairs += [(particle(key), value(key)) for key in rnd.sample(own, rnd.randint(0, 4))]
+    if rnd.random() < 0.2:  # a duplicate, or a key of another rule
+        key = rnd.choice(sorted(_DOCUMENT_VALUES))
+        pairs.append((particle(key), value(key)))
+    rnd.shuffle(pairs)
+    tails = ["", "", "  # note{}", "{}", " #{}x = 1"]
+    lines = [f"{key} = {text}" + rnd.choice(tails) for key, text in pairs]
+    for _ in range(rnd.randint(0, 2)):
+        extra = rnd.choice(["", "# comment{} more", "   {}", "# {} = 1"])
+        if rnd.random() < 0.1:
+            extra = rnd.choice(["no equals sign", "= 1", "k ="])
+        lines.insert(rnd.randint(0, len(lines)), extra)
+    lines = [line.replace("{}", rnd.choice(_INSIDE)) for line in lines]
+    return "".join(line + rnd.choice(["\n", "\r\n", "\r"]) for line in lines)
+
+
+def _within_bounds(scenario) -> bool:
+    """Whether an accepted scenario lies within every parse-time cost bound."""
+    scheme = scenario.scheme  # oracle-check reads a scheme only to check the target
+    if scenario.command != "oracle-check" and not 1 <= scheme.n_detected <= scheme.n_particles <= 16:
+        return False
+    if scenario.sweep is not None:
+        steps = scenario.sweep.steps
+        return 8 <= steps <= MAX_SWEEP_STEPS and steps * 2**scheme.n_detected <= MAX_SWEEP_CELLS
+    if scenario.oracle is not None:
+        spec = scenario.oracle
+        return spec.cases * spec.max_detected * (spec.max_aligned + 1) <= MAX_ORACLE_RUNS
+    if scenario.command == "entangle":
+        grid = scenario.entangle_grid or DEFAULT_ENTANGLE_GRID
+        terms_ok = min(grid) == 1.0 or 2**scheme.n_particles <= MAX_ENTANGLE_TERMS
+        return len(grid) <= MAX_ENTANGLE_GRID and terms_ok and scheme.n_detected in (2, 3)
+    return True
+
+
+def _quick(scenario) -> bool:
+    """Whether ``main`` runs an accepted scenario in a few milliseconds: small schemes,
+    short sweeps and grids, at most three oracle cases on small schemes."""
+    if scenario.scheme is not None and scenario.scheme.n_particles > 6:
+        return False
+    if scenario.sweep is not None:
+        return scenario.sweep.steps * 2**scenario.scheme.n_detected <= 4096
+    if scenario.oracle is not None:
+        spec = scenario.oracle
+        return spec.cases <= 3 and spec.max_detected + spec.max_aligned <= 6
+    return len(scenario.entangle_grid or ()) <= len(DEFAULT_ENTANGLE_GRID)
+
+
+@pytest.fixture(scope="module")
+def document_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("documents")
+
+
+@settings(max_examples=500, deadline=None)
+@given(text=_documents())
+def test_any_document_exits_with_a_documented_code(document_dir, text):
+    """Whatever the document, ``main`` raises nothing and returns 0-3.  A rejected
+    document exits 1 with one ``pisim: scenario error:`` line, which names the line of
+    the key it names (no line when the document does not give that key: a missing key or
+    a default past a bound), and a line wherever it names no key.  An accepted document
+    lies within every parse-time bound, and a small one runs through ``main``."""
+    path, out = document_dir / "doc.scenario", document_dir / "doc.csv"
+    path.write_bytes(text.encode("utf-8"))
+    lines = [line.strip() for line in re.split("\r\n|\r|\n", text)]
+    given_on = [n for n, line in enumerate(lines, 1) if "=" in line and not line.startswith("#")]
+    try:
+        scenario = parse_scenario(text)
+    except ScenarioParseError as exc:
+        capture = io.StringIO()
+        with contextlib.redirect_stderr(capture):
+            assert main(["run", "--scenario", str(path), "--out", str(out)]) == EXIT_INVALID
+        assert capture.getvalue() == f"pisim: scenario error: {exc}\n"
+        assert "\n" not in str(exc) and "\r" not in str(exc)
+        if exc.key is None:
+            assert exc.line is not None
+            event("rejected: no key")
+            return
+        lines_of_key = [n for n in given_on if lines[n - 1].partition("=")[0].strip() == exc.key]
+        if str(exc).endswith("duplicate key"):
+            assert exc.line == lines_of_key[1]
+        else:
+            assert exc.line == (lines_of_key[0] if lines_of_key else None)
+        event(f"rejected: {'a line' if lines_of_key else 'no line'}")
+        return
+    assert _within_bounds(scenario)
+    if not _quick(scenario):
+        event("accepted, parsed only")
+        return
+    capture = io.StringIO()
+    with contextlib.redirect_stderr(capture):
+        code = main([scenario.command, "--scenario", str(path), "--out", str(out), "--seed", "7"])
+    event(f"accepted: {scenario.command} exit {code}")
+    assert (code, capture.getvalue()) == (EXIT_OK, "")

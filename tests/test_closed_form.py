@@ -141,6 +141,42 @@ class TestEntangledClassState:
         with pytest.raises(ValueError):
             EntangledClass(class_id, n)
 
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_amplitude_is_one_rounding_of_the_root(self, n):
+        # a class holds 2^(n-1) outcomes; 0.5^(n-1) is exact, so only the root rounds
+        amp = math.sqrt(0.5 ** (n - 1))
+        for class_id in (F3, F4) if n % 2 else (F1, F2):
+            psi = entangled_class_state(EntangledClass(class_id, n))
+            assert psi.term_count == 2 ** (n - 1)
+            assert {complex(a) for a in psi.amplitudes.values()} <= {amp, -amp}
+
+
+class TestNamedTargets:
+    """Psi+, Phi- and GHZ3 keep their exact amplitudes."""
+
+    @pytest.mark.parametrize(
+        "make, amplitudes",
+        [
+            (bell_psi_plus, {(0, 1): math.sqrt(0.5), (1, 0): math.sqrt(0.5)}),
+            (bell_phi_minus, {(0, 0): math.sqrt(0.5), (1, 1): -math.sqrt(0.5)}),
+            (ghz_class_three, {(0, 0, 0): 0.5, (1, 1, 0): -0.5, (1, 0, 1): -0.5, (0, 1, 1): -0.5}),
+        ],
+        ids=["Psi+", "Phi-", "GHZ3"],
+    )
+    def test_exact_amplitudes(self, make, amplitudes):
+        psi = make()
+        assert psi.term_count == len(amplitudes)
+        for ports, amp in amplitudes.items():
+            assert psi.amplitude(detector_outcome(ports)) == amp
+
+    @pytest.mark.parametrize(
+        "make, class_id, n",
+        [(bell_psi_plus, F2, 2), (bell_phi_minus, F1, 2), (ghz_class_three, F3, 3)],
+        ids=["Psi+", "Phi-", "GHZ3"],
+    )
+    def test_named_target_is_its_class_member(self, make, class_id, n):
+        assert make().amplitudes == entangled_class_state(EntangledClass(class_id, n)).amplitudes
+
 
 class TestXiForClass:
     @pytest.mark.parametrize(
