@@ -45,6 +45,7 @@ from pisim.cli import (
     MAX_ENTANGLE_GRID,
     MAX_ENTANGLE_TERMS,
     MAX_ORACLE_RUNS,
+    MAX_PARTICLES,
     MAX_SWEEP_CELLS,
     MAX_SWEEP_STEPS,
     USAGE,
@@ -341,8 +342,8 @@ class TestRequiredKeysAndBounds:
     def test_unknown_target_lists_every_name(self):
         with pytest.raises(ScenarioParseError) as info:
             parse_scenario(CASE_I_RUN + "target = F5\n")
-        names = ", ".join(TARGETS)
-        assert str(info.value) == f"line 6, key 'target': unknown target 'F5' (expected one of {names})"
+        expected = f"unknown target 'F5' (expected one of {', '.join(TARGETS)})"
+        assert str(info.value) == f"line 6, key 'target': {expected}"
 
     @pytest.mark.parametrize("target", TARGETS)
     def test_target_without_a_scheme_is_only_named(self, target):
@@ -506,6 +507,17 @@ class TestPhasesNearTheFloatLimit:
     def test_entangle_pattern_keeps_its_visibility(self, tmp_path):
         scenario, out = tmp_path / "huge.scenario", tmp_path / "huge.csv"
         scenario.write_text("command = entangle\nentangle.grid = 0.5,1\n" + self.SCHEME)
+        assert main(["entangle", "--scenario", str(scenario), "--out", str(out)]) == EXIT_OK
+        _, rows = read_rows(out)
+        assert [float(row[1]) for row in rows] == pytest.approx([0.5, 1.0], abs=1e-9)
+
+    def test_phase_dropped_from_the_sum_still_turns_the_pattern(self, tmp_path):
+        # -1.7e308 + 2.5 rounds to -1.7e308: the 2.5 is all in the remainder of the sum
+        scenario, out = tmp_path / "lost.scenario", tmp_path / "lost.csv"
+        scenario.write_text(
+            "command = entangle\nscheme.n = 3\nscheme.m = 1\nscheme.phi.1 = -1.7e308\n"
+            "scheme.phi.2 = 2.5\nentangle.grid = 0.5,1\n"
+        )
         assert main(["entangle", "--scenario", str(scenario), "--out", str(out)]) == EXIT_OK
         _, rows = read_rows(out)
         assert [float(row[1]) for row in rows] == pytest.approx([0.5, 1.0], abs=1e-9)
@@ -1084,7 +1096,10 @@ def test_any_sweep_variable_exits_ok_or_names_its_key(variable_dir, variable):
 #: each cap and one past it, huge numbers, NaN, inf, non-ASCII digits (int() reads "٣"
 #: but not "²") and text.
 _HUGE = "9" * 5000  # past int()'s digit limit; float() reads it as inf
-_FLOATS = (["0", "0.5", "-1.5", "2.5"], ["-0", "1e308", "-1.7e308", "1e309", "nan", "inf", "-inf", "٣", "²", _HUGE, "x"])
+_FLOATS = (
+    ["0", "0.5", "-1.5", "2.5"],
+    ["-0", "1e308", "-1.7e308", "1e309", "nan", "inf", "-inf", "٣", "²", _HUGE, "x"],
+)
 _TRANSMISSIONS = (["1", "0.5", "0.9"], ["0", "-0", "1.5", "-0.1", "nan", "٠", "x"])
 _DOCUMENT_VALUES = {
     "command": (["run", "sweep", "entangle", "oracle-check"], ["bogus"]),
@@ -1094,7 +1109,9 @@ _DOCUMENT_VALUES = {
     "scheme.phi.<j>": _FLOATS,  # <j> and <l> become particle indices of the scheme
     "scheme.theta.<l>": _FLOATS,
     "scheme.transmission.<l>": _TRANSMISSIONS,
-    "sweep.variable": (["phi0", "phi.1", "theta.4"], ["phi.2", "theta.3", "theta.6", "phi.²", "phi.٢", "x"]),
+    "sweep.variable": (
+        ["phi0", "phi.1", "theta.4"], ["phi.2", "theta.3", "theta.6", "phi.²", "phi.٢", "x"]
+    ),
     "sweep.steps": (["8", "16", "64"], ["7", "17", "4096", "4097", "0", "-8", "٨", _HUGE]),
     "sweep.start": _FLOATS,
     "sweep.stop": _FLOATS,
@@ -1111,7 +1128,8 @@ _DOCUMENT_VALUES = {
     "bogus": ([], ["1"]),
     "scheme.bogus": ([], ["1"]),
 }
-#: The keys each command reads beyond ``command``, ``scheme.n`` and ``scheme.m``.
+#: Prefixes of the keys each command accepts beyond ``command``, ``scheme.n`` and
+#: ``scheme.m``.
 _COMMAND_KEYS = {
     "run": ("scheme.", "target", "output"),
     "sweep": ("scheme.", "sweep.", "target", "output"),
@@ -1149,13 +1167,16 @@ def _documents(draw):
         return key[:-3] + str(rnd.randint(low, high))
 
     command = value("command")
-    required = ["command", "scheme.n", "scheme.m", "sweep.variable"][: 4 if command == "sweep" else 3]
+    required = ["command", "scheme.n", "scheme.m"] + ["sweep.variable"] * (command == "sweep")
     pairs = [(key, command if key == "command" else value(key)) for key in required]
     sizes = dict(pairs)
     pairs = [pair for pair in pairs if rnd.random() < 0.95]
     prefixes = _COMMAND_KEYS.get(command, ("scheme.",))
-    own = [key for key, (usual, _) in _DOCUMENT_VALUES.items() if usual and key.startswith(prefixes)]
-    own = [key for key in own if key not in required]
+    own = [
+        key
+        for key, (usual, _) in _DOCUMENT_VALUES.items()
+        if usual and key.startswith(prefixes) and key not in required
+    ]
     pairs += [(particle(key), value(key)) for key in rnd.sample(own, rnd.randint(0, 4))]
     if rnd.random() < 0.2:  # a duplicate, or a key of another rule
         key = rnd.choice(sorted(_DOCUMENT_VALUES))
@@ -1175,7 +1196,9 @@ def _documents(draw):
 def _within_bounds(scenario) -> bool:
     """Whether an accepted scenario lies within every parse-time cost bound."""
     scheme = scenario.scheme  # oracle-check reads a scheme only to check the target
-    if scenario.command != "oracle-check" and not 1 <= scheme.n_detected <= scheme.n_particles <= 16:
+    if scenario.command != "oracle-check" and not 1 <= scheme.n_detected <= scheme.n_particles:
+        return False
+    if scheme is not None and scheme.n_particles > MAX_PARTICLES:
         return False
     if scenario.sweep is not None:
         steps = scenario.sweep.steps
