@@ -72,8 +72,8 @@ def sweep_pattern(
     """Loss-inclusive probabilities of every coincidence outcome along a phase sweep,
     from one scheme run per phase of ``variable`` (as in :meth:`SchemeConfig.replace_phase`)."""
     grid = [float(g) for g in grid]
-    rows = [outcome_probabilities(run_scheme(cfg.replace_phase(variable, v))) for v in grid]
-    rows = [list(probs.marginal.values()) for probs in rows]
+    states = (run_scheme(cfg.replace_phase(variable, v)) for v in grid)
+    rows = [outcome_probabilities(state).marginal[0] for state in states]
     outcomes = DetectionOutcome.all_outcomes(cfg.n_detected)
     return PatternCurve(variable, tuple(grid), outcomes, np.array(rows))
 

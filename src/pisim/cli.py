@@ -160,6 +160,11 @@ class _Entries:
         """A parse error naming ``key`` and the line it was given on, if any."""
         return ScenarioParseError(message, key=key, line=self.pairs.get(key, (None, None))[1])
 
+    def given(self, *keys: str) -> str:
+        """The first of ``keys`` that the document gives, else the first: the key that
+        names a rule which the defaults of the others break."""
+        return next((key for key in keys if key in self.pairs), keys[0])
+
     def take(self, key: str) -> tuple[str, int] | None:
         if key in self.pairs:
             self.consumed.add(key)
@@ -219,7 +224,7 @@ def _parse_sweep(entries: _Entries, scheme: SchemeConfig) -> SweepSpec:
         raise entries.error("sweep.steps", f"sweep.steps must lie in [8, {MAX_SWEEP_STEPS}]")
     if steps * 2**scheme.n_detected > MAX_SWEEP_CELLS:
         raise entries.error(
-            "sweep.steps",
+            entries.given("sweep.steps", "scheme.n"),
             f"{steps} steps of 2^{scheme.n_detected} outcomes each exceed the limit of "
             f"{MAX_SWEEP_CELLS} cells per sweep",
         )
@@ -228,10 +233,11 @@ def _parse_sweep(entries: _Entries, scheme: SchemeConfig) -> SweepSpec:
     for key, value in (("sweep.start", start), ("sweep.stop", stop)):
         if not math.isfinite(value):
             raise entries.error(key, f"{key} must be finite, got {value}")
+    key = entries.given("sweep.stop", "sweep.start")
     if not stop > start:
-        raise entries.error("sweep.stop", "sweep.stop must exceed sweep.start")
+        raise entries.error(key, "sweep.stop must exceed sweep.start")
     if not math.isfinite(stop - start):
-        raise entries.error("sweep.stop", "sweep.stop - sweep.start overflows")
+        raise entries.error(key, "sweep.stop - sweep.start overflows")
     return SweepSpec(variable, start, stop, steps)
 
 
@@ -264,7 +270,8 @@ def _parse_oracle(entries: _Entries) -> OracleSpec:
             raise entries.error(key, f"value must lie in [{low}, {high}]")
     runs = spec.cases * spec.max_detected * (spec.max_aligned + 1)  # one per case and scheme
     if runs > MAX_ORACLE_RUNS:
-        raise entries.error("oracle.cases", f"{runs} scheme runs exceed {MAX_ORACLE_RUNS}")
+        key = entries.given("oracle.cases", "oracle.max_detected", "oracle.max_aligned")
+        raise entries.error(key, f"{runs} scheme runs exceed {MAX_ORACLE_RUNS}")
     return spec
 
 

@@ -300,20 +300,20 @@ def _detected(columns: Iterable[tuple[PathLabel, ...]]) -> tuple[int, ...]:
     return tuple(detected)
 
 
-class OutcomeProbabilities(NamedTuple):
-    """Coincidence probabilities keyed by port tuple (0 unprimed, 1 primed per
-    detected particle) in ascending order: ``marginal`` summed over the
-    undetected aligned and loss modes, ``loss_free`` over terms in which every
-    aligned particle survived, and ``lost``, which completes ``loss_free`` to 1."""
+class BranchTable(NamedTuple):
+    """Coincidence probabilities, a row per phase value: column x is the outcome
+    ``DetectionOutcome.all_outcomes(n)[x]``, the first detected particle the highest bit.
+    ``loss_free`` counts terms in which every aligned particle survived, ``marginal`` sums
+    over the undetected aligned and loss modes, and ``lost`` completes ``loss_free`` to 1."""
 
-    marginal: dict[tuple[int, ...], float]
-    loss_free: dict[tuple[int, ...], float]
+    loss_free: np.ndarray
+    marginal: np.ndarray
     lost: float
 
 
-def outcome_probabilities(psi: PureState) -> OutcomeProbabilities:
-    """All coincidence probabilities of ``psi``, with and without loss, from one
-    pass over the labels of each slot; every cell adds its terms in term order."""
+def outcome_probabilities(psi: PureState) -> BranchTable:
+    """All coincidence probabilities of ``psi`` as a one-row table, from one pass over
+    the labels of each slot; every cell adds its terms in term order."""
     columns = list(zip(*psi.amplitudes))
     detected = _detected(columns)
     if not detected:
@@ -330,20 +330,9 @@ def outcome_probabilities(psi: PureState) -> OutcomeProbabilities:
             absorbed |= np.fromiter(map(flags.__getitem__, column), bool, count)
     weights = np.fromiter((abs(a) ** 2 for a in psi.amplitudes.values()), float, count)
     # np.bincount adds the weights of each cell in term order; lost terms fill one extra cell
-    marginal = np.bincount(ports, weights, cells).tolist()
-    loss_free = np.bincount(np.where(absorbed, cells, ports), weights, cells + 1).tolist()
-    keys = list(itertools.product((0, 1), repeat=len(detected)))
-    return OutcomeProbabilities(
-        dict(zip(keys, marginal)), dict(zip(keys, loss_free[:cells])), loss_free[cells]
-    )
-
-
-class BranchTable(NamedTuple):
-    """:class:`OutcomeProbabilities` as arrays: a row per phase value, outcomes ascending."""
-
-    loss_free: np.ndarray
-    marginal: np.ndarray
-    lost: float
+    marginal = np.bincount(ports, weights, cells)
+    loss_free = np.bincount(np.where(absorbed, cells, ports), weights, cells + 1)
+    return BranchTable(loss_free[None, :cells], marginal[None], float(loss_free[cells]))
 
 
 def branch_probabilities(
@@ -392,13 +381,13 @@ def _branch_table(n: int, phases: np.ndarray, transmission: Sequence[float]) -> 
 def joint_probability(psi: PureState, outcome: DetectionOutcome) -> float:
     """Probability of the coincidence ``outcome``, summed incoherently over the
     undetected aligned-beam and loss modes."""
-    marginal = outcome_probabilities(psi).marginal
-    if outcome.ports not in marginal:
-        n = len(next(iter(marginal)))
+    marginal = outcome_probabilities(psi).marginal[0]
+    if len(marginal) != 2 ** len(outcome):
+        n = len(marginal).bit_length() - 1
         raise ValueError(
             f"outcome has {len(outcome)} ports but the state has {n} detected particles"
         )
-    return marginal[outcome.ports]
+    return float(marginal[int(outcome.bitstring(), 2)])
 
 
 def detection_table(psi: PureState) -> tuple[dict[DetectionOutcome, float], float]:
@@ -407,8 +396,9 @@ def detection_table(psi: PureState) -> tuple[dict[DetectionOutcome, float], floa
     The per-outcome values count only events in which every aligned particle
     survived, so the table and the loss probability partition unity.
     """
-    _, loss_free, lost = outcome_probabilities(psi)
-    return {DetectionOutcome(ports): p for ports, p in loss_free.items()}, lost
+    table = outcome_probabilities(psi)
+    row = table.loss_free[0].tolist()
+    return dict(zip(DetectionOutcome.all_outcomes(len(row).bit_length() - 1), row)), table.lost
 
 
 def conditional_detected_state(psi: PureState) -> DensityMatrix:

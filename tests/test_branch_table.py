@@ -49,11 +49,11 @@ def schemes(draw, max_particles: int = 12) -> SchemeConfig:
     )
 
 
-def assert_routes_agree(table: np.ndarray, sparse: dict) -> None:
-    """One table row against the engine's values in the same ascending port order."""
-    assert len(table) == len(sparse)
+def assert_routes_agree(table: np.ndarray, sparse: np.ndarray) -> None:
+    """One table row against the engine's row, column for column."""
+    assert table.shape == sparse.shape
     scale = math.sqrt(0.5 / len(table))
-    for x, (a, b) in enumerate(zip(table.tolist(), sparse.values())):
+    for x, (a, b) in enumerate(zip(table.tolist(), sparse.tolist())):
         assert (a == 0.0) == (b == 0.0), (x, a, b)
         assert abs(a - b) <= 1e-12, (x, a, b)
         if _fmt(a) != _fmt(b):
@@ -63,8 +63,10 @@ def assert_routes_agree(table: np.ndarray, sparse: dict) -> None:
 
 def assert_matches_engine(cfg: SchemeConfig, table, row: int = 0) -> None:
     sparse = outcome_probabilities(run_scheme(cfg))
-    assert_routes_agree(table.loss_free[row], sparse.loss_free)
-    assert_routes_agree(table.marginal[row], sparse.marginal)
+    assert type(sparse) is type(table)
+    assert sparse.loss_free.shape == sparse.marginal.shape == (1, table.loss_free.shape[1])
+    assert_routes_agree(table.loss_free[row], sparse.loss_free[0])
+    assert_routes_agree(table.marginal[row], sparse.marginal[0])
     assert abs(table.lost - sparse.lost) <= 1e-12
 
 

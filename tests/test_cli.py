@@ -304,6 +304,32 @@ class TestRequiredKeysAndBounds:
         assert str(info.value) == f"key '{key}': missing key"
 
     @pytest.mark.parametrize(
+        "text, key, line, message",
+        [
+            (
+                "command = oracle-check\noracle.max_detected = 8\noracle.max_aligned = 8\n",
+                "oracle.max_detected", 2, "7200 scheme runs exceed 5000",
+            ),
+            (
+                "command = sweep\nscheme.n = 3\nscheme.m = 1\nsweep.variable = phi0\n"
+                "sweep.start = 7\n",
+                "sweep.start", 5, "sweep.stop must exceed sweep.start",
+            ),
+            (
+                "command = sweep\nscheme.n = 16\nscheme.m = 0\nsweep.variable = phi0\n",
+                "scheme.n", 2,
+                "64 steps of 2^16 outcomes each exceed the limit of 1048576 cells per sweep",
+            ),
+        ],
+        ids=["oracle-runs", "sweep-start", "sweep-cells"],
+    )  # fmt: skip
+    def test_bound_broken_by_a_default_names_a_given_line(self, text, key, line, message):
+        # the defaulted key (oracle.cases, sweep.stop, sweep.steps) has no line to name
+        with pytest.raises(ScenarioParseError) as info:
+            parse_scenario(text)
+        assert str(info.value) == f"line {line}, key '{key}': {message}"
+
+    @pytest.mark.parametrize(
         "n, m, key, line, message",
         [
             (0, 0, "scheme.n", 3, "scheme.n must lie in [1, 16]"),
@@ -487,8 +513,8 @@ class TestPhasesNearTheFloatLimit:
         scenario.write_text("command = run\n" + self.SCHEME)
         assert main(["run", "--scenario", str(scenario), "--out", str(out)]) == EXIT_OK
         _, rows = read_rows(out)
-        _, loss_free, lost = outcome_probabilities(run_scheme(self.cfg()))
-        expected = [loss_free[(a, b)] for a in (0, 1) for b in (0, 1)] + [lost]
+        probs = outcome_probabilities(run_scheme(self.cfg()))
+        expected = probs.loss_free[0].tolist() + [probs.lost]
         assert [row[0] for row in rows] == ["00", "01", "10", "11", "loss"]
         assert all(abs(float(row[1]) - p) <= 1e-12 for row, p in zip(rows, expected))
 
@@ -500,8 +526,8 @@ class TestPhasesNearTheFloatLimit:
         assert len(rows) == 64
         for k, row in enumerate(rows):
             cfg = self.cfg(phi=(1.7e308, k * (math.tau / 64)))
-            _, loss_free, lost = outcome_probabilities(run_scheme(cfg))
-            expected = list(loss_free.values()) + [lost]
+            probs = outcome_probabilities(run_scheme(cfg))
+            expected = probs.loss_free[0].tolist() + [probs.lost]
             assert all(abs(float(v) - p) <= 1e-12 for v, p in zip(row[1:], expected))
 
     def test_entangle_pattern_keeps_its_visibility(self, tmp_path):
@@ -1236,9 +1262,9 @@ def document_dir(tmp_path_factory):
 def test_any_document_exits_with_a_documented_code(document_dir, text):
     """Whatever the document, ``main`` raises nothing and returns 0-3.  A rejected
     document exits 1 with one ``pisim: scenario error:`` line, which names the line of
-    the key it names (no line when the document does not give that key: a missing key or
-    a default past a bound), and a line wherever it names no key.  An accepted document
-    lies within every parse-time bound, and a small one runs through ``main``."""
+    the key it names (no line only for a missing key), and a line wherever it names no
+    key.  An accepted document lies within every parse-time bound, and a small one runs
+    through ``main``."""
     path, out = document_dir / "doc.scenario", document_dir / "doc.csv"
     path.write_bytes(text.encode("utf-8"))
     lines = [line.strip() for line in re.split("\r\n|\r|\n", text)]
@@ -1258,8 +1284,10 @@ def test_any_document_exits_with_a_documented_code(document_dir, text):
         lines_of_key = [n for n in given_on if lines[n - 1].partition("=")[0].strip() == exc.key]
         if str(exc).endswith("duplicate key"):
             assert exc.line == lines_of_key[1]
+        elif lines_of_key:
+            assert exc.line == lines_of_key[0]
         else:
-            assert exc.line == (lines_of_key[0] if lines_of_key else None)
+            assert exc.line is None and str(exc) == f"key '{exc.key}': missing key"
         event(f"rejected: {'a line' if lines_of_key else 'no line'}")
         return
     assert _within_bounds(scenario)

@@ -443,10 +443,15 @@ class TestJointProbability:
             )
             state = run_scheme(cfg)
             outcomes = DetectionOutcome.all_outcomes(cfg.n_detected)
-            inclusive = sum(joint_probability(state, o) for o in outcomes)
-            assert inclusive == pytest.approx(1.0, abs=1e-12)
+            inclusive = [joint_probability(state, o) for o in outcomes]
+            assert sum(inclusive) == pytest.approx(1.0, abs=1e-12)
             table, lost = detection_table(state)
             assert sum(table.values()) + lost == pytest.approx(1.0, abs=1e-12)
+            # both read the cells of the one table, column x for outcome x
+            probs = outcome_probabilities(state)
+            assert inclusive == probs.marginal[0].tolist()
+            assert list(table) == list(outcomes)
+            assert list(table.values()) == probs.loss_free[0].tolist() and lost == probs.lost
 
     @given(
         n_total=st.integers(1, 8),
@@ -466,7 +471,7 @@ class TestJointProbability:
             transmission=(transmission,) * m,
         )
         state = run_scheme(cfg)
-        marginal, loss_free, lost = outcome_probabilities(state)
+        probs = outcome_probabilities(state)
 
         def ports(full):
             primed = LabelKind.DETECTOR_PRIMED
@@ -484,13 +489,30 @@ class TestJointProbability:
             return acc
 
         outcomes = [o.ports for o in DetectionOutcome.all_outcomes(cfg.n_detected)]
-        assert list(marginal) == outcomes and list(loss_free) == outcomes
-        for target in outcomes:
-            assert marginal[target] == total(lambda o: ports(o) == target)
-            assert loss_free[target] == total(lambda o: ports(o) == target and not absorbed(o))
-        assert lost == total(absorbed)
+        assert probs.marginal.shape == probs.loss_free.shape == (1, len(outcomes))
+        for x, target in enumerate(outcomes):  # column x is outcome x
+            assert probs.marginal[0, x] == total(lambda o: ports(o) == target)
+            assert probs.loss_free[0, x] == total(lambda o: ports(o) == target and not absorbed(o))
+        assert probs.lost == total(absorbed)
         if transmission == 1.0 or m == 0:
-            assert lost == 0.0 and loss_free == marginal
+            assert probs.lost == 0.0 and np.array_equal(probs.loss_free, probs.marginal)
+
+    def test_column_is_the_outcome_read_as_bits(self):
+        # the engine's states are symmetric under port permutations that keep the
+        # number of primed ports, so a hand-made state pins the column order
+        psi = pure_state_from_terms(
+            [((detector(1), primed_detector(2), primed_detector(3), loss(4)), 0.6),
+             ((primed_detector(1), detector(2), detector(3), aligned_beam(4)), 0.8)]
+        )  # fmt: skip
+        probs = outcome_probabilities(psi)
+        assert probs.marginal[0].tolist() == pytest.approx([0, 0, 0, 0.36, 0.64, 0, 0, 0])
+        assert probs.loss_free[0].tolist() == pytest.approx([0, 0, 0, 0, 0.64, 0, 0, 0])
+        assert probs.lost == pytest.approx(0.36)
+        assert joint_probability(psi, DetectionOutcome((0, 1, 1))) == pytest.approx(0.36)
+        assert joint_probability(psi, DetectionOutcome((1, 0, 0))) == pytest.approx(0.64)
+        table, _ = detection_table(psi)
+        assert table[DetectionOutcome((1, 0, 0))] == pytest.approx(0.64)
+        assert table[DetectionOutcome((0, 0, 1))] == 0.0
 
     def test_outcome_length_must_match(self):
         state = run_scheme(case_i())
