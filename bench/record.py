@@ -6,8 +6,12 @@ fixes, interleaved (seed by seed, workload by workload, tree by tree, the
 order of the trees reversed on every other seed), and writes per tree and
 workload the median and quartiles of each end-to-end metric, each run's
 value, ``failed`` and ``attempted`` in seed order, the environment lines, the
-commit and the ``src/pisim`` line count.  The file is a record, not a gate:
-the bounds live in ``BENCHMARK.json``.  Standard library only.
+commit and the ``src/pisim`` line count.  Given exactly two trees, it also
+writes under ``comparison``, per workload and end-to-end metric, in how many
+seeds the second tree was better (by the direction that the first tree's
+``BENCHMARK.json`` gives) and whether the medians differ by more than the
+first tree's q3 - q1.  The file is a record, not a gate: the bounds live in
+``BENCHMARK.json``.  Standard library only.
 
 Run from the root of a checkout, for example against an export of the parent
 commit made with ``git archive``:
@@ -97,6 +101,25 @@ def summary(runs: list[dict]) -> dict:
     }
 
 
+def comparison(first: dict, second: dict, better: dict[str, str]) -> dict:
+    """Per workload and end-to-end metric of two trees' ``summary`` results, the rule a
+    claim is judged by: in how many seeds the second tree's value was better than the
+    first's, in the direction ``better`` names ("higher" or "lower"; a tie counts for
+    neither), and whether the two medians differ by more than the first's q3 - q1."""
+    result = {}
+    for workload, ours in first.items():
+        result[workload] = {}
+        for name, direction in better.items():
+            a, b = ours["metrics"][name], second[workload]["metrics"][name]
+            sign = 1 if direction == "higher" else -1
+            result[workload][name] = {
+                "second_won": sum(sign * (y - x) > 0 for x, y in zip(a["values"], b["values"])),
+                "pairs": len(a["values"]),
+                "medians_apart": abs(b["median"] - a["median"]) > a["q3"] - a["q1"],
+            }
+    return result
+
+
 def main() -> int:
     sys.stdout.reconfigure(line_buffering=True)  # progress lines show as each run ends
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
@@ -138,6 +161,16 @@ def main() -> int:
             for label, tree in trees.items()
         },
     }
+    if len(trees) == 2:
+        (first, tree), (second, _) = trees.items()
+        end_to_end = json.loads((tree / "BENCHMARK.json").read_text())["end_to_end"]
+        better = {metric["name"]: metric["better"] for metric in end_to_end}
+        workloads = [record["trees"][label]["workloads"] for label in (first, second)]
+        record["comparison"] = {
+            "first": first,
+            "second": second,
+            "workloads": comparison(*workloads, better),
+        }
     Path(args.out).write_text(json.dumps(record, indent=1) + "\n")
     print(f"wrote {args.out}")
     return 0

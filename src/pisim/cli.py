@@ -310,6 +310,9 @@ def parse_scenario(text: str) -> Scenario:
             "command", f"unknown command {command!r} (expected one of {', '.join(COMMANDS)})"
         )
 
+    if command == "entangle":  # its grid sets every transmission
+        for key in entries.matching("scheme.transmission."):
+            raise entries.error(key, "entangle takes its transmissions from entangle.grid")
     scheme = _parse_scheme(entries, required=command != "oracle-check")
     if command != "oracle-check" and scheme.n_detected == 0:
         raise entries.error(

@@ -532,7 +532,8 @@ class TestPhasesNearTheFloatLimit:
 
     def test_entangle_pattern_keeps_its_visibility(self, tmp_path):
         scenario, out = tmp_path / "huge.scenario", tmp_path / "huge.csv"
-        scenario.write_text("command = entangle\nentangle.grid = 0.5,1\n" + self.SCHEME)
+        scheme = self.SCHEME.replace("scheme.transmission.3 = 0.8\n", "")  # the grid sets it
+        scenario.write_text("command = entangle\nentangle.grid = 0.5,1\n" + scheme)
         assert main(["entangle", "--scenario", str(scenario), "--out", str(out)]) == EXIT_OK
         _, rows = read_rows(out)
         assert [float(row[1]) for row in rows] == pytest.approx([0.5, 1.0], abs=1e-9)
@@ -626,6 +627,30 @@ class TestEntangleCommand:
     def test_entangle_needs_alignment(self):
         with pytest.raises(ScenarioParseError, match="aligned"):
             parse_scenario("command = entangle\nscheme.n = 2\nscheme.m = 0\n")
+
+    @pytest.mark.parametrize(
+        "scheme, line, key",
+        [
+            ("scheme.n = 3\nscheme.m = 1\nscheme.transmission.3 = 0.3\n", 4, "3"),
+            ("scheme.n = 3\nscheme.m = 1\nscheme.transmission.3 = 1\n", 4, "3"),
+            ("scheme.n = 4\nscheme.m = 2\nscheme.transmission.4 = 1\n"
+             "scheme.transmission.3 = 0.5\n", 4, "4"),
+        ],
+        ids=["below-one", "at-one", "first-given"],
+    )  # fmt: skip
+    def test_scheme_transmission_is_rejected(self, tmp_path, scheme, line, key):
+        # the grid sets every transmission, so the key would be ignored
+        scenario, out = tmp_path / "ent.scenario", tmp_path / "ent.csv"
+        scenario.write_text("command = entangle\n" + scheme + "entangle.grid = 1\n")
+        capture = io.StringIO()
+        with contextlib.redirect_stderr(capture):
+            code = main(["entangle", "--scenario", str(scenario), "--out", str(out)])
+        assert code == EXIT_INVALID
+        assert capture.getvalue() == (
+            f"pisim: scenario error: line {line}, key 'scheme.transmission.{key}': "
+            "entangle takes its transmissions from entangle.grid\n"
+        )
+        assert not out.exists()
 
 
 class TestNumericalFailures:

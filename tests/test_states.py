@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import cmath
 import copy
+import itertools
 import math
 import pickle
 
@@ -37,6 +38,7 @@ from pisim import (
     state_fidelity,
     to_density,
 )
+from pisim.states import EIGENVALUE_FLOOR
 from conftest import random_detector_state, random_mode_state
 
 ROOT_HALF = math.sqrt(0.5)
@@ -484,6 +486,89 @@ class TestPartialTrace:
         np.testing.assert_allclose(reduced.matrix, expected, atol=1e-12)
 
 
+    @staticmethod
+    def _per_group_reference(rho: DensityMatrix, keep: tuple[int, ...]):
+        """The reduction built as it was before the pairs came from the group sizes:
+        one ``np.array``, ``repeat`` and ``tile`` per group of rows sharing their traced
+        labels, groups in order of first appearance, then ``np.add.at``."""
+        columns = list(zip(*rho.basis))
+        kept_parts = list(zip(*(columns[rho.kept_particles.index(p)] for p in keep)))
+        traced_parts = zip(*(c for c, p in zip(columns, rho.kept_particles) if p not in keep))
+        new_basis = tuple(sorted(set(kept_parts)))
+        new_index = {o: i for i, o in enumerate(new_basis)}
+        targets = np.fromiter(map(new_index.__getitem__, kept_parts), np.intp)
+        groups: dict = {}
+        for row, traced in enumerate(traced_parts):
+            groups.setdefault(traced, []).append(row)
+        blocks = [np.array(rows) for rows in groups.values()]
+        i = np.concatenate([np.repeat(rows, len(rows)) for rows in blocks])
+        j = np.concatenate([np.tile(rows, len(rows)) for rows in blocks])
+        reduced = np.zeros((len(new_basis), len(new_basis)), dtype=complex)
+        np.add.at(reduced, (targets[i], targets[j]), rho.matrix[i, j])
+        return new_basis, reduced, [len(rows) for rows in groups.values()], list(groups)
+
+    @staticmethod
+    def _generic_density(basis, rng: np.random.Generator) -> DensityMatrix:
+        """A full-rank density matrix on ``basis`` whose entries have no common scale,
+        so that summing them in another order changes their bits."""
+        dim = len(basis)
+        a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        a *= np.exp(rng.uniform(-6, 6, size=(dim, 1)))
+        matrix = a @ a.conj().T
+        return DensityMatrix(
+            tuple(range(1, len(basis[0]) + 1)), basis, matrix / matrix.trace().real
+        )
+
+    def test_unequal_groups_sum_in_order_of_first_appearance(self):
+        # particle 1 is kept, particles 2 and 3 traced; kept d1 meets the traced labels
+        # (d2', a3) and (v2, a3) first, so kept d1' reads its rows (d2, a3), (d2', a3),
+        # (d2', v3), (v2, a3) in another order than the groups appear
+        d1, d1p = detector(1), primed_detector(1)
+        d2, d2p, v2 = detector(2), primed_detector(2), loss(2)
+        a3, v3 = aligned_beam(3), loss(3)
+        basis = (
+            (d1, d2p, a3),
+            (d1, v2, a3),
+            (d1p, d2, a3),
+            (d1p, d2p, a3),
+            (d1p, d2p, v3),
+            (d1p, v2, a3),
+            (aligned_beam(1), d2p, a3),
+            (aligned_beam(1), d2p, v3),
+            (aligned_beam(1), v2, a3),
+            (loss(1), d2p, a3),
+        )
+        rng = np.random.default_rng(1466)
+        for _ in range(20):
+            rho = self._generic_density(basis, rng)
+            new_basis, expected, sizes, order = self._per_group_reference(rho, (1,))
+            assert order == [(d2p, a3), (v2, a3), (d2, a3), (d2p, v3)]
+            assert sizes == [4, 3, 1, 2]
+            reduced = partial_trace(rho, (1,))
+            assert reduced.basis == new_basis
+            assert reduced.matrix.tobytes() == expected.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_any_basis_matches_the_per_group_construction(self, data):
+        """A random ascending subset of a 3- or 4-particle product basis, any kept
+        subset: the reduced matrix has the bytes of the per-group construction."""
+        count = data.draw(st.integers(3, 4), label="particles")
+        kinds = (detector, primed_detector, loss)
+        product = list(itertools.product(*[[k(p) for k in kinds] for p in range(1, count + 1)]))
+        chosen = data.draw(st.sets(st.sampled_from(range(len(product))), min_size=2, max_size=40))
+        basis = tuple(product[k] for k in sorted(chosen))
+        keep = tuple(
+            sorted(data.draw(st.sets(st.integers(1, count), min_size=1, max_size=count - 1)))
+        )
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        rho = self._generic_density(basis, rng)
+        new_basis, expected, _, _ = self._per_group_reference(rho, keep)
+        reduced = partial_trace(rho, keep)
+        assert reduced.basis == new_basis
+        assert reduced.matrix.tobytes() == expected.tobytes()
+
+
 class TestDensityMatrixValidation:
     def test_non_hermitian_rejected(self):
         basis = ((detector(1),), (primed_detector(1),))
@@ -499,6 +584,36 @@ class TestDensityMatrixValidation:
         basis = ((detector(1),), (primed_detector(1),))
         with pytest.raises(ValidationError):
             DensityMatrix((1,), basis, np.array([[1.5, 0.0], [0.0, -0.5]]))
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        dim=st.integers(2, 64),
+        smallest=st.sampled_from(
+            [EIGENVALUE_FLOOR * (1 + 1e-3), EIGENVALUE_FLOOR * (1 - 1e-3), 0.0, 1e-17, -1e-17]
+        ),
+        repeats=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_accepted_exactly_above_the_eigenvalue_floor(self, dim, smallest, repeats, seed):
+        """Q diag(lambda) Q^dagger with unit trace and ``repeats`` eigenvalues equal to
+        ``smallest``, 1e-3 of the floor on either side of it or at zero: accepted exactly
+        when ``smallest`` is at least the floor, else rejected naming it."""
+        rng = np.random.default_rng(seed)
+        repeats = min(repeats, dim - 1)
+        rest = rng.uniform(0.1, 1.0, dim - repeats)
+        eigenvalues = np.concatenate(
+            [np.full(repeats, smallest), rest * (1 - repeats * smallest) / rest.sum()]
+        )
+        q, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+        matrix = (q * eigenvalues) @ q.conj().T
+        matrix = (matrix + matrix.conj().T) / 2
+        basis = tuple((detector(k),) for k in range(1, dim + 1))
+        if smallest >= EIGENVALUE_FLOOR:
+            assert DensityMatrix((1,), basis, matrix).dim == dim
+        else:
+            with pytest.raises(ValidationError) as info:
+                DensityMatrix((1,), basis, matrix)
+            assert str(info.value) == f"matrix has negative eigenvalue {smallest:.3e}"
 
     def test_unsorted_basis_rejected(self):
         basis = ((primed_detector(1),), (detector(1),))
