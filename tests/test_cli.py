@@ -1180,13 +1180,14 @@ _DOCUMENT_VALUES = {
     "scheme.bogus": ([], ["1"]),
 }
 #: Prefixes of the keys each command accepts beyond ``command``, ``scheme.n`` and
-#: ``scheme.m``.
+#: ``scheme.m``, and the keys of those prefixes that it rejects.
 _COMMAND_KEYS = {
     "run": ("scheme.", "target", "output"),
     "sweep": ("scheme.", "sweep.", "target", "output"),
     "entangle": ("scheme.", "entangle.", "target", "output"),
     "oracle-check": ("oracle.", "target", "output"),
 }
+_COMMAND_REJECTS = {"entangle": ("scheme.transmission.<l>",)}
 #: Text inside comments and values: each character ends a line for str.splitlines() alone.
 _INSIDE = ["", *OTHER_BREAKS.values(), "é", "#"]
 
@@ -1226,7 +1227,9 @@ def _documents(draw):
     own = [
         key
         for key, (usual, _) in _DOCUMENT_VALUES.items()
-        if usual and key.startswith(prefixes) and key not in required
+        if usual
+        and key.startswith(prefixes)
+        and key not in required + list(_COMMAND_REJECTS.get(command, ()))
     ]
     pairs += [(particle(key), value(key)) for key in rnd.sample(own, rnd.randint(0, 4))]
     if rnd.random() < 0.2:  # a duplicate, or a key of another rule

@@ -615,6 +615,22 @@ class TestDensityMatrixValidation:
                 DensityMatrix((1,), basis, matrix)
             assert str(info.value) == f"matrix has negative eigenvalue {smallest:.3e}"
 
+    @pytest.mark.parametrize("at", range(3))
+    def test_eigenvalue_at_the_floor_accepted_one_ulp_below_rejected(self, at):
+        # rho - floor * I then has an exact zero (or negative) pivot, so Cholesky fails
+        # and eigvalsh, exact on a diagonal matrix, decides
+        basis = tuple((detector(k),) for k in range(1, 4))
+        below = float(np.nextafter(EIGENVALUE_FLOOR, -1.0))
+        for smallest in (EIGENVALUE_FLOOR, below):
+            diagonal = [0.5, 0.5 - smallest]
+            diagonal.insert(at, smallest)
+            matrix = np.diag(np.array(diagonal, dtype=complex))
+            if smallest == EIGENVALUE_FLOOR:
+                assert DensityMatrix((1,), basis, matrix).dim == 3
+            else:
+                with pytest.raises(ValidationError, match="negative eigenvalue -1.000e-10"):
+                    DensityMatrix((1,), basis, matrix)
+
     def test_unsorted_basis_rejected(self):
         basis = ((primed_detector(1),), (detector(1),))
         with pytest.raises(ValidationError):
