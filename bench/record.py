@@ -107,10 +107,10 @@ def comparison(first: dict, second: dict, better: dict[str, str]) -> dict:
     first's, in the direction ``better`` names ("higher" or "lower"; a tie counts for
     neither), and whether the two medians differ by more than the first's q3 - q1."""
     result = {}
-    for workload, ours in first.items():
+    for workload in first:
         result[workload] = {}
         for name, direction in better.items():
-            a, b = ours["metrics"][name], second[workload]["metrics"][name]
+            a, b = first[workload]["metrics"][name], second[workload]["metrics"][name]
             sign = 1 if direction == "higher" else -1
             result[workload][name] = {
                 "second_won": sum(sign * (y - x) > 0 for x, y in zip(a["values"], b["values"])),

@@ -1180,14 +1180,13 @@ _DOCUMENT_VALUES = {
     "scheme.bogus": ([], ["1"]),
 }
 #: Prefixes of the keys each command accepts beyond ``command``, ``scheme.n`` and
-#: ``scheme.m``, and the keys of those prefixes that it rejects.
+#: ``scheme.m`` (``entangle`` rejects ``scheme.transmission.<l>``).
 _COMMAND_KEYS = {
     "run": ("scheme.", "target", "output"),
     "sweep": ("scheme.", "sweep.", "target", "output"),
     "entangle": ("scheme.", "entangle.", "target", "output"),
     "oracle-check": ("oracle.", "target", "output"),
 }
-_COMMAND_REJECTS = {"entangle": ("scheme.transmission.<l>",)}
 #: Text inside comments and values: each character ends a line for str.splitlines() alone.
 _INSIDE = ["", *OTHER_BREAKS.values(), "é", "#"]
 
@@ -1229,7 +1228,8 @@ def _documents(draw):
         for key, (usual, _) in _DOCUMENT_VALUES.items()
         if usual
         and key.startswith(prefixes)
-        and key not in required + list(_COMMAND_REJECTS.get(command, ()))
+        and key not in required
+        and (command, key) != ("entangle", "scheme.transmission.<l>")
     ]
     pairs += [(particle(key), value(key)) for key in rnd.sample(own, rnd.randint(0, 4))]
     if rnd.random() < 0.2:  # a duplicate, or a key of another rule
