@@ -3,18 +3,12 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .errors import NormalizationError, VisibilityUndefinedError
-from .interferometer import (
-    DetectionOutcome,
-    SchemeConfig,
-    outcome_probabilities,
-    run_scheme,
-)
+from .interferometer import SchemeConfig, outcome_probabilities, run_scheme
 from .states import (
     DensityMatrix,
     LabelKind,
@@ -29,68 +23,39 @@ _SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 _SPIN_FLIP = np.kron(_SIGMA_Y, _SIGMA_Y)
 
 
-@dataclass(frozen=True, eq=False)
-class PatternCurve:
-    """Coincidence probabilities of every detection outcome along a phase sweep."""
-
-    sweep_variable: str
-    phases: tuple[float, ...]
-    outcomes: tuple[DetectionOutcome, ...]
-    values: np.ndarray  # shape (len(phases), len(outcomes))
-
-    def __post_init__(self) -> None:
-        phases = tuple(float(p) for p in self.phases)
-        if len(phases) < 8:
-            raise ValueError(f"a pattern curve needs at least 8 samples, got {len(phases)}")
-        if any(a >= b for a, b in zip(phases, phases[1:])):
-            raise ValueError("sweep phases must be strictly increasing")
-        values = np.asarray(self.values, dtype=float)
-        if values.shape != (len(phases), len(self.outcomes)):
-            raise ValueError(
-                f"values shape {values.shape} does not match "
-                f"{len(phases)} samples x {len(self.outcomes)} outcomes"
-            )
-        if values.min() < -_PROBABILITY_SLACK or values.max() > 1.0 + _PROBABILITY_SLACK:
-            raise ValueError("pattern probabilities must lie in [0, 1]")
-        values.setflags(write=False)
-        object.__setattr__(self, "phases", phases)
-        object.__setattr__(self, "outcomes", tuple(self.outcomes))
-        object.__setattr__(self, "values", values)
-
-    def probabilities(self, outcome: DetectionOutcome) -> np.ndarray:
-        """Probability samples of ``outcome`` along the sweep."""
-        try:
-            column = self.outcomes.index(outcome)
-        except ValueError:
-            raise ValueError(f"outcome {outcome.bitstring()} is not part of this curve") from None
-        return np.array(self.values[:, column])
-
-
-def sweep_pattern(
-    cfg: SchemeConfig, variable: str, grid: Sequence[float]
-) -> PatternCurve:
+def sweep_pattern(cfg: SchemeConfig, variable: str, grid: Sequence[float]) -> np.ndarray:
     """Loss-inclusive probabilities of every coincidence outcome along a phase sweep,
-    from one scheme run per phase of ``variable`` (as in :meth:`SchemeConfig.replace_phase`)."""
-    grid = [float(g) for g in grid]
-    states = (run_scheme(cfg.replace_phase(variable, v)) for v in grid)
+    from one scheme run per phase of ``variable`` (as in :meth:`SchemeConfig.replace_phase`):
+    one row per ``grid`` value, column x the outcome ``DetectionOutcome.all_outcomes(n)[x]``,
+    as in :func:`branch_probabilities`."""
+    cfg.phase_slot(variable)  # an unknown variable is rejected whatever the grid
+    states = (run_scheme(cfg.replace_phase(variable, float(v))) for v in grid)
     rows = [outcome_probabilities(state).marginal[0] for state in states]
-    outcomes = DetectionOutcome.all_outcomes(cfg.n_detected)
-    return PatternCurve(variable, tuple(grid), outcomes, np.array(rows))
+    return np.array(rows).reshape(len(rows), 2**cfg.n_detected)
 
 
-def visibility(curve: PatternCurve, outcome: DetectionOutcome) -> float:
-    """(max - min)/(max + min) of the least-squares sinusoid through one pattern.
+def visibility(phases: Sequence[float], samples: Sequence[float]) -> float:
+    """(max - min)/(max + min) of the least-squares sinusoid through one pattern: the
+    probability ``samples`` of one outcome at the finite, strictly increasing ``phases`` of the
+    sweep variable, such as a column of :func:`sweep_pattern`.
 
     The fit model is ``offset + a cos(phase) + b sin(phase)``, which recovers
-    the ideal pattern exactly on a uniform full-period grid.  The curve must
-    cover a full 2 pi period of the sweep variable (endpoint-exclusive grids
-    qualify).
+    the ideal pattern exactly on a uniform full-period grid.  The phases must
+    be at least 8 and cover a full 2 pi period (endpoint-exclusive grids
+    qualify), with one sample in [0, 1] per phase.
     """
-    phases = np.array(curve.phases)
+    phases, samples = np.asarray(phases, dtype=float), np.asarray(samples, dtype=float)
+    if len(phases) < 8:
+        raise ValueError(f"a pattern needs at least 8 phases, got {len(phases)}")
     gaps = np.diff(phases)
+    if not ((gaps > 0).all() and np.isfinite(phases).all()):
+        raise ValueError("pattern phases must be finite and strictly increasing")
+    if phases.ndim != 1 or samples.shape != phases.shape:
+        raise ValueError(f"sample shape {samples.shape} does not match phase shape {phases.shape}")
+    if not (samples.min() >= -_PROBABILITY_SLACK and samples.max() <= 1.0 + _PROBABILITY_SLACK):
+        raise ValueError("pattern probabilities must lie in [0, 1]")
     if phases[-1] - phases[0] + gaps.max() < 2 * math.pi - 1e-9:
-        raise ValueError("visibility needs a curve covering a full 2*pi period")
-    samples = curve.probabilities(outcome)
+        raise ValueError("visibility needs a pattern covering a full 2*pi period")
     design = np.column_stack([np.ones_like(phases), np.cos(phases), np.sin(phases)])
     (offset, a, b), *_ = np.linalg.lstsq(design, samples, rcond=None)
     amplitude = math.hypot(a, b)

@@ -17,7 +17,6 @@ from typing import Any, Sequence
 import numpy as np
 
 from .analysis import (
-    PatternCurve,
     concurrence,
     fidelity,
     pure_state_from_density,
@@ -39,7 +38,6 @@ from .errors import (
 )
 from .interferometer import (
     MAX_PARTICLES,
-    DetectionOutcome,
     SchemeConfig,
     _branch_phases,
     _branch_table,
@@ -118,7 +116,7 @@ class Scenario:
     scheme: SchemeConfig | None
     sweep: SweepSpec | None = None
     target: str | None = None
-    entangle_grid: tuple[float, ...] | None = None
+    entangle_grid: tuple[float, ...] | None = None  # entangle: DEFAULT_ENTANGLE_GRID if not given
     oracle: OracleSpec | None = None
     output_path: str | None = None
 
@@ -219,7 +217,7 @@ def _parse_sweep(entries: _Entries, scheme: SchemeConfig) -> SweepSpec:
         scheme.phase_slot(variable)
     except ValueError as exc:
         raise entries.error("sweep.variable", str(exc))
-    steps = entries.take_as("sweep.steps", int, 64)
+    steps = entries.take_as("sweep.steps", int, SweepSpec.steps)
     if not 8 <= steps <= MAX_SWEEP_STEPS:
         raise entries.error("sweep.steps", f"sweep.steps must lie in [8, {MAX_SWEEP_STEPS}]")
     if steps * 2**scheme.n_detected > MAX_SWEEP_CELLS:
@@ -228,8 +226,8 @@ def _parse_sweep(entries: _Entries, scheme: SchemeConfig) -> SweepSpec:
             f"{steps} steps of 2^{scheme.n_detected} outcomes each exceed the limit of "
             f"{MAX_SWEEP_CELLS} cells per sweep",
         )
-    start = entries.take_as("sweep.start", float, 0.0)
-    stop = entries.take_as("sweep.stop", float, math.tau)
+    start = entries.take_as("sweep.start", float, SweepSpec.start)
+    stop = entries.take_as("sweep.stop", float, SweepSpec.stop)
     for key, value in (("sweep.start", start), ("sweep.stop", stop)):
         if not math.isfinite(value):
             raise entries.error(key, f"{key} must be finite, got {value}")
@@ -241,10 +239,10 @@ def _parse_sweep(entries: _Entries, scheme: SchemeConfig) -> SweepSpec:
     return SweepSpec(variable, start, stop, steps)
 
 
-def _parse_entangle_grid(entries: _Entries) -> tuple[float, ...] | None:
+def _parse_entangle_grid(entries: _Entries) -> tuple[float, ...]:
     found = entries.take("entangle.grid")
     if found is None:
-        return None
+        return DEFAULT_ENTANGLE_GRID
     try:
         grid = tuple(float(part) for part in found[0].split(","))
     except ValueError:
@@ -256,9 +254,9 @@ def _parse_entangle_grid(entries: _Entries) -> tuple[float, ...] | None:
 
 def _parse_oracle(entries: _Entries) -> OracleSpec:
     spec = OracleSpec(
-        cases=entries.take_as("oracle.cases", int, 100),
-        max_detected=entries.take_as("oracle.max_detected", int, 5),
-        max_aligned=entries.take_as("oracle.max_aligned", int, 3),
+        cases=entries.take_as("oracle.cases", int, OracleSpec.cases),
+        max_detected=entries.take_as("oracle.max_detected", int, OracleSpec.max_detected),
+        max_aligned=entries.take_as("oracle.max_aligned", int, OracleSpec.max_aligned),
     )
     checks = (
         ("oracle.cases", spec.cases, 1, 100000),
@@ -345,14 +343,13 @@ def parse_scenario(text: str) -> Scenario:
             raise entries.error("scheme.n", "entangle supports two or three detected particles")
         # below t = 1 every particle spans two labels (d/d' detected, a/v aligned), so
         # the one scheme run behind each grid point's state stores 2^N terms
-        grid = entangle_grid or DEFAULT_ENTANGLE_GRID
-        if min(grid) < 1.0 and 2**scheme.n_particles > MAX_ENTANGLE_TERMS:
+        if min(entangle_grid) < 1.0 and 2**scheme.n_particles > MAX_ENTANGLE_TERMS:
             raise entries.error(
                 "scheme.n",
                 f"a grid transmission below 1 makes the scheme run of each grid point "
                 f"store 2^{scheme.n_particles} terms, above the limit {MAX_ENTANGLE_TERMS}",
             )
-        if len(grid) > MAX_ENTANGLE_GRID:
+        if len(entangle_grid) > MAX_ENTANGLE_GRID:
             raise entries.error("entangle.grid", f"more than {MAX_ENTANGLE_GRID} grid points")
 
     return Scenario(
@@ -415,11 +412,12 @@ def _cmd_sweep(scenario: Scenario, path: str) -> int:
 
 
 def _entangle_figures(
-    cfg: SchemeConfig, target: PureState | None, curve: PatternCurve
+    cfg: SchemeConfig, target: PureState | None, pattern: np.ndarray
 ) -> tuple[float, float, float | None, float | None]:
-    """Visibility of ``curve``, concurrence, fidelity to ``target`` and three-tangle of one
-    configuration, in CSV column order; ``None`` where a figure does not apply."""
-    pattern_visibility = visibility(curve, curve.outcomes[0])
+    """Visibility of ``pattern`` (one outcome's probabilities over ``_VISIBILITY_GRID``),
+    concurrence, fidelity to ``target`` and three-tangle of one configuration, in CSV
+    column order; ``None`` where a figure does not apply."""
+    pattern_visibility = visibility(_VISIBILITY_GRID, pattern)
 
     rho = conditional_detected_state(run_scheme(cfg))
     pair = concurrence(rho if cfg.n_detected == 2 else partial_trace(rho, (1, 2)))
@@ -437,19 +435,15 @@ def _entangle_figures(
 
 def _cmd_entangle(scenario: Scenario) -> list[str]:
     scheme = scenario.scheme
-    grid = scenario.entangle_grid or DEFAULT_ENTANGLE_GRID
     name = scenario.target
     target = entangled_class_state(_target_class(name, scheme.n_detected)) if name else None
-    outcomes = DetectionOutcome.all_outcomes(scheme.n_detected)
-    variable = f"theta.{scheme.n_detected + 1}"
-    phases = _branch_phases(scheme, variable, _VISIBILITY_GRID)
+    phases = _branch_phases(scheme, f"theta.{scheme.n_detected + 1}", _VISIBILITY_GRID)
     columns = ("visibility", "concurrence", "fidelity", "three_tangle")
     lines = ["transmission," + ",".join(columns)]
-    for t in grid:
+    for t in scenario.entangle_grid:
         cfg = replace(scheme, transmission=(t,) * scheme.n_aligned)
-        pattern = _branch_table(scheme.n_detected, phases, cfg.transmission).marginal
-        curve = PatternCurve(variable, _VISIBILITY_GRID, outcomes, pattern)
-        figures = _entangle_figures(cfg, target, curve)
+        table = _branch_table(scheme.n_detected, phases, cfg.transmission)
+        figures = _entangle_figures(cfg, target, table.marginal[:, 0])
         for name, value in zip(columns, figures):
             if value is not None and not -_FIGURE_SLACK <= value <= 1.0 + _FIGURE_SLACK:
                 raise ValidationError(f"{name} must lie in [0, 1], got {value}")
@@ -468,7 +462,7 @@ def _oracle_fidelity(cfg: SchemeConfig) -> float:
 
 
 def _cmd_oracle(scenario: Scenario, path: str, seed: int) -> int:
-    spec = scenario.oracle or OracleSpec()
+    spec = scenario.oracle
     lines = [f"# seed = {seed}", "n_detected,n_aligned,cases,max_infidelity,status"]
     all_pass = True
     for n in range(1, spec.max_detected + 1):

@@ -50,13 +50,13 @@ def report(number: int, name: str, ok: bool, detail: str) -> None:
 def test_criterion_01_case_i_pattern():
     started = time.perf_counter()
     phi_sum = 0.6
-    curve = sweep_pattern(case_i(phi0=phi_sum), "theta.3", FULL_TURN)
+    rows = sweep_pattern(case_i(phi0=phi_sum), "theta.3", FULL_TURN)
     worst = 0.0
     thetas = np.array(FULL_TURN)
-    for outcome in DetectionOutcome.all_outcomes(2):
+    for x, outcome in enumerate(DetectionOutcome.all_outcomes(2)):
         sign = -1 if outcome.ports[0] == outcome.ports[1] else +1
         expected = (1 + sign * np.cos(phi_sum - thetas)) / 4
-        worst = max(worst, np.abs(curve.probabilities(outcome) - expected).max())
+        worst = max(worst, np.abs(rows[:, x] - expected).max())
     elapsed = time.perf_counter() - started
     report(
         1,
@@ -174,8 +174,8 @@ def test_criterion_07_concurrence_visibility_transmission():
     worst_v = 0.0
     for t3 in T3_GRID:
         seen_c = concurrence(conditional_detected_state(run_scheme(case_i(t3=t3))))
-        curve = sweep_pattern(case_i(t3=t3), "theta.3", FULL_TURN)
-        seen_v = visibility(curve, DetectionOutcome((0, 1)))
+        rows = sweep_pattern(case_i(t3=t3), "theta.3", FULL_TURN)
+        seen_v = visibility(FULL_TURN, rows[:, 1])  # outcome 01
         worst_c = max(worst_c, abs(seen_c - t3))
         worst_v = max(worst_v, abs(seen_v - t3))
     report(
@@ -189,8 +189,8 @@ def test_criterion_07_concurrence_visibility_transmission():
 def test_criterion_08_fidelity_visibility_law():
     worst = 0.0
     for t3 in T3_GRID:
-        curve = sweep_pattern(case_i(t3=t3), "theta.3", FULL_TURN)
-        seen_v = visibility(curve, DetectionOutcome((0, 1)))
+        rows = sweep_pattern(case_i(t3=t3), "theta.3", FULL_TURN)
+        seen_v = visibility(FULL_TURN, rows[:, 1])  # outcome 01
         even = fidelity(
             conditional_detected_state(run_scheme(case_i(t3=t3))), bell_psi_plus()
         )

@@ -6,14 +6,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pisim import (
     DensityMatrix,
-    DetectionOutcome,
     EntangledClass,
     EntangledClassId,
     NormalizationError,
-    PatternCurve,
     SchemeConfig,
     VisibilityUndefinedError,
     aligned_beam,
@@ -40,6 +40,7 @@ from pisim import (
     to_density,
     visibility,
 )
+from pisim.interferometer import branch_probabilities
 from conftest import case_i, random_detector_state
 
 FULL_TURN = [k * math.tau / 64 for k in range(64)]
@@ -61,6 +62,23 @@ def even_parity_mixture(t3: float) -> DensityMatrix:
     )
 
 
+@st.composite
+def aligned_schemes(draw) -> SchemeConfig:
+    """Up to 12 particles with at least one aligned and one detected, any phases and
+    transmissions, t = 0 and 1 included."""
+    n_total = draw(st.integers(2, 12))
+    m = draw(st.integers(1, n_total - 1))
+    phases, transmissions = st.floats(-7.0, 7.0), st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
+    return SchemeConfig(
+        n_total,
+        m,
+        phi0=draw(phases),
+        phi=tuple(draw(phases) for _ in range(n_total - m)),
+        theta=tuple(draw(phases) for _ in range(m)),
+        transmission=tuple(draw(transmissions) for _ in range(m)),
+    )
+
+
 def w_state():
     return pure_state_from_terms(
         [(detector_outcome(p), 1 / math.sqrt(3)) for p in ((0, 0, 1), (0, 1, 0), (1, 0, 0))]
@@ -70,68 +88,117 @@ def w_state():
 class TestSweepPattern:
     def test_case_i_matches_closed_pattern(self):
         phi_sum = 0.6
-        curve = sweep_pattern(case_i(phi0=phi_sum), "theta.3", FULL_TURN)
-        for outcome, sign in ((DetectionOutcome((0, 0)), -1), (DetectionOutcome((0, 1)), +1)):
-            samples = curve.probabilities(outcome)
+        rows = sweep_pattern(case_i(phi0=phi_sum), "theta.3", FULL_TURN)
+        assert rows.shape == (len(FULL_TURN), 4)
+        for x, sign in ((0, -1), (1, +1)):  # outcomes 00 and 01
             expected = (1 + sign * np.cos(phi_sum - np.array(FULL_TURN))) / 4
-            assert np.abs(samples - expected).max() <= 1e-10
+            assert np.abs(rows[:, x] - expected).max() <= 1e-10
 
     def test_two_aligned_pattern_shifts_by_fixed_theta(self):
         theta3 = 0.3
         cfg = SchemeConfig(4, 2, theta=(theta3, 0.0))
-        curve = sweep_pattern(cfg, "theta.4", FULL_TURN)
-        samples = curve.probabilities(DetectionOutcome((0, 0)))
+        samples = sweep_pattern(cfg, "theta.4", FULL_TURN)[:, 0]
         expected = (1 - np.cos(-theta3 - np.array(FULL_TURN))) / 4
         assert np.abs(samples - expected).max() <= 1e-10
 
     def test_blocked_attenuator_flattens_all_patterns(self):
-        curve = sweep_pattern(case_i(t3=0.0), "theta.3", FULL_TURN)
-        assert np.abs(curve.values - 0.25).max() <= 1e-12
+        rows = sweep_pattern(case_i(t3=0.0), "theta.3", FULL_TURN)
+        assert np.abs(rows - 0.25).max() <= 1e-12
 
     def test_unknown_variable_rejected(self):
-        with pytest.raises(ValueError):
-            sweep_pattern(case_i(), "theta.2", FULL_TURN)
+        for grid in (FULL_TURN, []):  # whatever the grid
+            with pytest.raises(ValueError, match="unknown phase variable 'theta.2'"):
+                sweep_pattern(case_i(), "theta.2", grid)
 
-    def test_grid_must_have_enough_points(self):
-        with pytest.raises(ValueError):
-            sweep_pattern(case_i(), "theta.3", [0.0, 1.0, 2.0])
 
-    def test_grid_must_increase(self):
-        grid = list(FULL_TURN)
-        grid[5] = grid[4]
-        with pytest.raises(ValueError):
-            sweep_pattern(case_i(), "theta.3", grid)
+def _pattern(phases) -> np.ndarray:
+    """Outcome 00 of case I along ``phases`` of theta.3: (1 - cos theta)/4."""
+    return (1 - np.cos(np.array(phases, dtype=float))) / 4
 
 
 class TestVisibility:
     @pytest.mark.parametrize("t3", [0.7, 1.0])
     def test_recovers_transmission(self, t3):
-        curve = sweep_pattern(case_i(t3=t3), "theta.3", FULL_TURN)
-        for outcome in DetectionOutcome.all_outcomes(2):
-            assert visibility(curve, outcome) == pytest.approx(t3, abs=1e-6)
+        rows = sweep_pattern(case_i(t3=t3), "theta.3", FULL_TURN)
+        for x in range(4):
+            assert visibility(FULL_TURN, rows[:, x]) == pytest.approx(t3, abs=1e-6)
 
     def test_constant_nonzero_pattern_has_zero_visibility(self):
-        curve = sweep_pattern(case_i(t3=0.0), "theta.3", FULL_TURN)
-        assert visibility(curve, DetectionOutcome((1, 1))) == pytest.approx(0.0, abs=1e-6)
+        rows = sweep_pattern(case_i(t3=0.0), "theta.3", FULL_TURN)
+        assert visibility(FULL_TURN, rows[:, 3]) == pytest.approx(0.0, abs=1e-6)
 
     def test_zero_pattern_is_undefined(self):
-        outcomes = (DetectionOutcome((0,)), DetectionOutcome((1,)))
-        values = np.column_stack([np.zeros(16), np.ones(16)])
         grid = tuple(k * math.tau / 16 for k in range(16))
-        curve = PatternCurve("phi0", grid, outcomes, values)
         with pytest.raises(VisibilityUndefinedError):
-            visibility(curve, DetectionOutcome((0,)))
+            visibility(grid, np.zeros(16))
 
     def test_partial_period_rejected(self):
         grid = [k * math.pi / 32 for k in range(32)]  # covers only [0, pi)
-        curve = sweep_pattern(case_i(), "theta.3", grid)
-        with pytest.raises(ValueError):
-            visibility(curve, DetectionOutcome((0, 0)))
+        rows = sweep_pattern(case_i(), "theta.3", grid)
+        with pytest.raises(ValueError, match="full 2\\*pi period"):
+            visibility(grid, rows[:, 0])
 
-    def test_unknown_outcome_rejected(self):
-        curve = sweep_pattern(case_i(), "theta.3", FULL_TURN)
-        with pytest.raises(ValueError):
-            visibility(curve, DetectionOutcome((0, 0, 0)))
+    def test_grid_must_have_enough_points(self):
+        for count in (0, 3, 7):
+            grid = [k * math.tau / count for k in range(count)]
+            with pytest.raises(ValueError) as caught:
+                visibility(grid, _pattern(grid))
+            assert str(caught.value) == f"a pattern needs at least 8 phases, got {count}"
+
+    def test_eight_points_suffice(self):
+        grid = [k * math.tau / 8 for k in range(8)]
+        assert visibility(grid, _pattern(grid)) == pytest.approx(1.0, abs=1e-12)
+
+    def test_grid_must_increase(self):
+        for earlier in (4, 3):  # a repeated phase, then a decreasing one
+            grid = list(FULL_TURN)
+            grid[5] = grid[earlier]
+            with pytest.raises(ValueError) as caught:
+                visibility(grid, _pattern(grid))
+            assert str(caught.value) == "pattern phases must be finite and strictly increasing"
+
+    @pytest.mark.parametrize("phase", [math.nan, math.inf])
+    def test_phases_must_be_finite(self, phase):
+        grid = list(FULL_TURN)
+        grid[-1 if phase == math.inf else 7] = phase
+        with pytest.raises(ValueError) as caught:
+            visibility(grid, _pattern(FULL_TURN))
+        assert str(caught.value) == "pattern phases must be finite and strictly increasing"
+
+    @pytest.mark.parametrize(
+        "samples, shape",
+        [(_pattern(FULL_TURN)[:-1], "(63,)"), (np.zeros((64, 1)), "(64, 1)"), (0.25, "()")],
+        ids=["short", "column-matrix", "scalar"],
+    )
+    def test_one_sample_per_phase(self, samples, shape):
+        with pytest.raises(ValueError) as caught:
+            visibility(FULL_TURN, samples)
+        assert str(caught.value) == f"sample shape {shape} does not match phase shape (64,)"
+
+    @pytest.mark.parametrize("cell", [-2e-9, 1.0 + 2e-9, -1.0, math.nan])
+    def test_samples_must_be_probabilities(self, cell):
+        samples = _pattern(FULL_TURN)
+        samples[7] = cell
+        with pytest.raises(ValueError) as caught:
+            visibility(FULL_TURN, samples)
+        assert str(caught.value) == "pattern probabilities must lie in [0, 1]"
+
+    def test_rounding_slack_accepted(self):
+        samples = _pattern(FULL_TURN)
+        samples[0], samples[32] = -1e-9, 0.5 + 1e-9  # the trough and the peak
+        assert visibility(FULL_TURN, samples) == pytest.approx(1.0, abs=1e-8)
+
+    @given(cfg=aligned_schemes(), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_every_column_gives_the_total_transmission(self, cfg, data):
+        variable = f"theta.{data.draw(st.sampled_from(cfg.aligned_range))}"
+        steps = data.draw(st.integers(8, 64))
+        start = data.draw(st.floats(-7.0, 7.0))
+        grid = [start + k * math.tau / steps for k in range(steps)]
+        pattern = branch_probabilities(cfg, variable, grid).marginal
+        total_t = math.prod(cfg.transmission)
+        for x in range(pattern.shape[1]):
+            assert abs(visibility(grid, pattern[:, x]) - total_t) <= 1e-9
 
 
 class TestConcurrence:
@@ -285,16 +352,16 @@ class TestEntanglementLaws:
     def test_concurrence_equals_visibility_equals_transmission(self):
         for t3 in T3_GRID:
             rho = conditional_detected_state(run_scheme(case_i(t3=t3)))
-            curve = sweep_pattern(case_i(t3=t3), "theta.3", FULL_TURN)
+            rows = sweep_pattern(case_i(t3=t3), "theta.3", FULL_TURN)
             seen_c = concurrence(rho)
-            seen_v = visibility(curve, DetectionOutcome((0, 1)))
+            seen_v = visibility(FULL_TURN, rows[:, 1])  # outcome 01
             assert abs(seen_c - t3) <= 1e-6
             assert abs(seen_v - t3) <= 1e-6
 
     def test_fidelity_tracks_visibility_for_both_parities(self):
         for t3 in T3_GRID:
-            curve = sweep_pattern(case_i(t3=t3), "theta.3", FULL_TURN)
-            seen_v = visibility(curve, DetectionOutcome((0, 1)))
+            rows = sweep_pattern(case_i(t3=t3), "theta.3", FULL_TURN)
+            seen_v = visibility(FULL_TURN, rows[:, 1])  # outcome 01
             even = conditional_detected_state(run_scheme(case_i(t3=t3)))
             odd = conditional_detected_state(run_scheme(case_i(phi0=math.pi, t3=t3)))
             assert abs(fidelity(even, bell_psi_plus()) - (1 + seen_v) / 2) <= 1e-9

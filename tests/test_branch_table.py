@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pisim import SchemeConfig, outcome_probabilities, run_scheme
+from pisim import SchemeConfig, outcome_probabilities, run_scheme, sweep_pattern
 from pisim.cli import _fmt
 from pisim.interferometer import branch_probabilities
 from conftest import attenuated_coincidence
@@ -96,8 +96,25 @@ class TestThreeRoutes:
         grid = data.draw(st.lists(PHASES | st.sampled_from(CANCELLING_XI), min_size=1, max_size=4))
         table = branch_probabilities(cfg, variable, grid)
         assert table.loss_free.shape == (len(grid), 2**cfg.n_detected)
+        pattern = sweep_pattern(cfg, variable, grid)  # the engine's marginal, row by row
+        assert pattern.shape == table.marginal.shape
         for row, value in enumerate(grid):
             assert_matches_engine(cfg.replace_phase(variable, value), table, row)
+            assert_routes_agree(table.marginal[row], pattern[row])
+
+    @pytest.mark.parametrize(
+        "cfg, variable",
+        [
+            (SchemeConfig(3, 1), "theta.3"),
+            (SchemeConfig(6, 2), "phi.4"),
+            (SchemeConfig(1, 0), "phi0"),
+        ],
+    )
+    def test_empty_sweep_has_no_rows(self, cfg, variable):
+        shape = (0, 2**cfg.n_detected)
+        assert sweep_pattern(cfg, variable, []).shape == shape
+        table = branch_probabilities(cfg, variable, [])
+        assert table.loss_free.shape == table.marginal.shape == shape
 
     @pytest.mark.parametrize(
         "cfg",

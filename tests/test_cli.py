@@ -49,6 +49,8 @@ from pisim.cli import (
     MAX_SWEEP_CELLS,
     MAX_SWEEP_STEPS,
     USAGE,
+    OracleSpec,
+    SweepSpec,
     execute,
     main,
     parse_scenario,
@@ -172,6 +174,13 @@ class TestParseScenario:
     def test_oracle_defaults_within_run_bound(self):
         spec = parse_scenario("command = oracle-check\n").oracle
         assert spec.cases * spec.max_detected * (spec.max_aligned + 1) <= MAX_ORACLE_RUNS
+
+    def test_omitted_settings_take_the_documented_defaults(self):
+        text = "command = sweep\nscheme.n = 3\nscheme.m = 1\nsweep.variable = phi0\n"
+        assert parse_scenario(text).sweep == SweepSpec("phi0", 0.0, math.tau, 64)
+        assert parse_scenario("command = oracle-check\n").oracle == OracleSpec(100, 5, 3)
+        entangle = parse_scenario("command = entangle\nscheme.n = 3\nscheme.m = 1\n")
+        assert entangle.entangle_grid == DEFAULT_ENTANGLE_GRID == tuple(k / 10 for k in range(11))
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ScenarioParseError) as info:
@@ -1261,7 +1270,7 @@ def _within_bounds(scenario) -> bool:
         spec = scenario.oracle
         return spec.cases * spec.max_detected * (spec.max_aligned + 1) <= MAX_ORACLE_RUNS
     if scenario.command == "entangle":
-        grid = scenario.entangle_grid or DEFAULT_ENTANGLE_GRID
+        grid = scenario.entangle_grid  # the parser fills in the default grid
         terms_ok = min(grid) == 1.0 or 2**scheme.n_particles <= MAX_ENTANGLE_TERMS
         return len(grid) <= MAX_ENTANGLE_GRID and terms_ok and scheme.n_detected in (2, 3)
     return True
