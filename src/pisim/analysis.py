@@ -8,17 +8,20 @@ from typing import Sequence
 import numpy as np
 
 from .errors import NormalizationError, VisibilityUndefinedError
-from .interferometer import SchemeConfig, outcome_probabilities, run_scheme
+from .interferometer import SchemeConfig, _require_detected, outcome_probabilities, run_scheme
 from .states import (
     DensityMatrix,
-    LabelKind,
     Outcome,
     PureState,
+    format_outcome,
+    port_outcomes,
     pure_state_from_terms,
     to_density,
 )
 
 _PROBABILITY_SLACK = 1e-9
+#: Largest subleading eigenvalue :func:`pure_state_from_density` accepts.
+_PURITY_TOLERANCE = 1e-10
 _SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 _SPIN_FLIP = np.kron(_SIGMA_Y, _SIGMA_Y)
 
@@ -26,9 +29,11 @@ _SPIN_FLIP = np.kron(_SIGMA_Y, _SIGMA_Y)
 def sweep_pattern(cfg: SchemeConfig, variable: str, grid: Sequence[float]) -> np.ndarray:
     """Loss-inclusive probabilities of every coincidence outcome along a phase sweep,
     from one scheme run per phase of ``variable`` (as in :meth:`SchemeConfig.replace_phase`):
-    one row per ``grid`` value, column x the outcome ``DetectionOutcome.all_outcomes(n)[x]``,
-    as in :func:`branch_probabilities`."""
-    cfg.phase_slot(variable)  # an unknown variable is rejected whatever the grid
+    one row per ``grid`` value, column x the outcome ``port_outcomes(range(1, n + 1))[x]``,
+    as in :func:`branch_probabilities`.  A scheme with no detected particle or an unknown
+    variable is rejected whatever the grid."""
+    _require_detected(cfg)
+    cfg.phase_slot(variable)
     states = (run_scheme(cfg.replace_phase(variable, float(v))) for v in grid)
     rows = [outcome_probabilities(state).marginal[0] for state in states]
     return np.array(rows).reshape(len(rows), 2**cfg.n_detected)
@@ -65,27 +70,20 @@ def visibility(phases: Sequence[float], samples: Sequence[float]) -> float:
     return float((peak - trough) / (peak + trough))
 
 
-_PORT_BITS = {LabelKind.DETECTOR_UNPRIMED: 0, LabelKind.DETECTOR_PRIMED: 1}
-
-
-def _port_index(outcome: Outcome, particles: Sequence[int]) -> int:
-    """The 0/1 ports of ``outcome`` (unprimed -> 0, primed -> 1) read as a binary
-    number, the first of ``particles`` the highest bit; each label must be a
-    detector port of its own particle."""
-    value = 0
-    for label, particle in zip(outcome, particles):
-        if label.kind not in _PORT_BITS or label.index != particle:
-            raise ValueError(
-                f"label {label} cannot be mapped to a detector port of particle {particle}"
-            )
-        value = (value << 1) | _PORT_BITS[label.kind]
-    return value
+def _port_columns(outcomes: Sequence[Outcome], particles: Sequence[int]) -> list[int]:
+    """The column of each of ``outcomes`` among :func:`port_outcomes` of ``particles``."""
+    column = {outcome: x for x, outcome in enumerate(port_outcomes(particles))}
+    try:
+        return [column[outcome] for outcome in outcomes]
+    except KeyError as error:
+        outcome = format_outcome(error.args[0])
+        raise ValueError(f"outcome {outcome} cannot be mapped to a detector port") from None
 
 
 def _computational_matrix(rho: DensityMatrix) -> np.ndarray:
     """Embed a detector-label density matrix into the dense 0/1 port basis."""
     k = len(rho.kept_particles)
-    indices = [_port_index(outcome, rho.kept_particles) for outcome in rho.basis]
+    indices = _port_columns(rho.basis, rho.kept_particles)
     dense = np.zeros((2**k, 2**k), dtype=complex)
     dense[np.ix_(indices, indices)] = rho.matrix
     return dense
@@ -131,10 +129,8 @@ def three_tangle(psi: PureState) -> float:
         raise ValueError(f"three_tangle needs a three-particle state, got {psi.particle_count}")
     if not psi.is_normalized:
         raise NormalizationError("three_tangle needs a normalized state")
-    a = [0j] * 8
-    for outcome, amp in psi.amplitudes.items():
-        a[_port_index(outcome, (1, 2, 3))] = amp
-    a000, a001, a010, a011, a100, a101, a110, a111 = a
+    a = dict(zip(_port_columns(psi.amplitudes, (1, 2, 3)), psi.amplitudes.values()))
+    a000, a001, a010, a011, a100, a101, a110, a111 = (a.get(x, 0j) for x in range(8))
     p, q, r, s = a000 * a111, a001 * a110, a010 * a101, a100 * a011
     d1 = p * p + q * q + r * r + s * s
     d2 = p * q + p * r + p * s + q * r + q * s + r * s
@@ -155,17 +151,17 @@ def fidelity(rho: DensityMatrix, target: PureState) -> float:
     return float((vector.conj() @ rho.matrix @ vector).real)
 
 
-def pure_state_from_density(rho: DensityMatrix, tol: float = 1e-10) -> PureState:
+def pure_state_from_density(rho: DensityMatrix) -> PureState:
     """Extract the pure state of a rank-one density matrix.
 
     The returned state's global phase is fixed by making its largest
     amplitude real and positive.  Raises ``ValueError`` when any subleading
-    eigenvalue exceeds ``tol``.
+    eigenvalue exceeds :data:`_PURITY_TOLERANCE`.
     """
     eigenvalues, eigenvectors = np.linalg.eigh(rho.matrix)
-    if eigenvalues[:-1].size and eigenvalues[:-1].max() > tol:
+    if eigenvalues[:-1].size and eigenvalues[:-1].max() > _PURITY_TOLERANCE:
         raise ValueError(
-            f"density matrix is not pure within {tol:g} "
+            f"density matrix is not pure within {_PURITY_TOLERANCE:g} "
             f"(second eigenvalue {eigenvalues[-2]:.3e})"
         )
     vector = eigenvectors[:, -1]

@@ -9,12 +9,11 @@ checked against each other.
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .states import PureState, detector, detector_outcome, primed_detector, pure_state_from_terms
+from .states import PureState, port_outcomes, pure_state_from_terms
 
 #: Exact powers of i; complex exponentiation would introduce rounding.
 _I_POW = (1 + 0j, 1j, -1 + 0j, -1j)
@@ -67,11 +66,8 @@ def dicke_state(n: int, r: int) -> PureState:
     """Normalized equal superposition of all detector outcomes with ``r`` primed ports."""
     _check_dicke_index(n, r)
     amp = 1.0 / math.sqrt(math.comb(n, r))
-    terms = []
-    for primed_slots in itertools.combinations(range(n), r):
-        ports = tuple(1 if k in primed_slots else 0 for k in range(n))
-        terms.append((detector_outcome(ports), amp))
-    return pure_state_from_terms(terms)
+    outcomes = enumerate(port_outcomes(range(1, n + 1)))
+    return pure_state_from_terms((o, amp) for x, o in outcomes if x.bit_count() == r)
 
 
 def predicted_output_state(n: int, xi: float) -> PureState:
@@ -86,9 +82,8 @@ def predicted_output_state(n: int, xi: float) -> PureState:
     phase = cmath.exp(1j * float(xi))
     scale = 0.5 ** ((n + 1) / 2)
     by_r = [scale * (_I_POW[r % 4] + _I_POW[(n - r) % 4] * phase) for r in range(n + 1)]
-    outcomes = itertools.product(*((detector(j), primed_detector(j)) for j in range(1, n + 1)))
-    primed = map(sum, itertools.product((0, 1), repeat=n))  # r of each outcome, in step
-    return pure_state_from_terms(zip(outcomes, map(by_r.__getitem__, primed)))
+    outcomes = enumerate(port_outcomes(range(1, n + 1)))
+    return pure_state_from_terms((o, by_r[x.bit_count()]) for x, o in outcomes)
 
 
 def entangled_class_state(cls: EntangledClass) -> PureState:
@@ -98,16 +93,12 @@ def entangled_class_state(cls: EntangledClass) -> PureState:
     product outcomes, so all outcomes share one magnitude and only the sign
     alternates with the component index.
     """
-    r_values = cls.dicke_r_values
-    total = sum(math.comb(cls.n, r) for r in r_values)
-    amp = math.sqrt(1.0 / total)  # total is 2^(n-1), so 1/total is exact
-    terms = []
-    for position, r in enumerate(r_values):
-        sign = -amp if position % 2 else amp
-        for primed_slots in itertools.combinations(range(cls.n), r):
-            ports = tuple(1 if k in primed_slots else 0 for k in range(cls.n))
-            terms.append((detector_outcome(ports), sign))
-    return pure_state_from_terms(terms)
+    amp = math.sqrt(0.5 ** (cls.n - 1))  # the class has 2^(n-1) outcomes; 0.5^(n-1) is exact
+    signed = {r: -amp if k % 2 else amp for k, r in enumerate(cls.dicke_r_values)}
+    outcomes = port_outcomes(range(1, cls.n + 1))
+    return pure_state_from_terms(
+        (o, signed[x.bit_count()]) for x, o in enumerate(outcomes) if x.bit_count() in signed
+    )
 
 
 def xi_for_class(n: int, class_id: EntangledClassId, m: int = 0) -> float:

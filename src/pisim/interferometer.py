@@ -263,16 +263,20 @@ def apply_beam_splitter(psi: PureState, particle: int, phi: float) -> PureState:
     return _map_source_beams(psi, particle, "apply a beam splitter to", unprimed, primed)
 
 
+def _require_detected(cfg: SchemeConfig) -> None:
+    """A ConfigError unless a particle of ``cfg`` reaches the beam splitters: with every
+    particle aligned the two branches interfere and probability is not conserved."""
+    if cfg.n_detected == 0:
+        raise ConfigError("a scheme needs a detected particle (n_aligned < n_particles)", field="m")
+
+
 def run_scheme(cfg: SchemeConfig) -> PureState:
     """Full evolution: source superposition, alignment stage, beam splitters.
 
     Returns the normalized joint state over detector, aligned-beam, and loss
-    labels.  At least one particle must reach the beam splitters; with all
-    particles aligned the two emission branches interfere and the literal
-    substitution rule no longer conserves probability.
+    labels.  At least one particle must reach the beam splitters.
     """
-    if cfg.n_detected == 0:
-        raise ConfigError("run_scheme needs at least one detected particle (n_aligned < n_particles)")
+    _require_detected(cfg)
     state = build_two_source_state(cfg)
     for l, theta, transmission in zip(cfg.aligned_range, cfg.theta, cfg.transmission):
         state = apply_path_identity(state, l, theta, transmission)
@@ -302,7 +306,7 @@ def _detected(columns: Iterable[tuple[PathLabel, ...]]) -> tuple[int, ...]:
 
 class BranchTable(NamedTuple):
     """Coincidence probabilities, a row per phase value: column x is the outcome
-    ``DetectionOutcome.all_outcomes(n)[x]``, the first detected particle the highest bit.
+    ``port_outcomes(detected)[x]`` (see :func:`~pisim.states.port_outcomes`).
     ``loss_free`` counts terms in which every aligned particle survived, ``marginal`` sums
     over the undetected aligned and loss modes, and ``lost`` completes ``loss_free`` to 1."""
 
@@ -344,6 +348,7 @@ def branch_probabilities(
     ``U = 2^(-n/2) i^r``, ``P = 2^(-n/2) i^(n-r)`` at ``r`` primed ports and ``T = prod t``,
     plus ``(1 - T^2)/2 |U|^2`` lost; ``|A| <= AMPLITUDE_EPSILON`` cancels, as in the engine.
     One row per ``grid`` value of the phase ``variable``, or for ``cfg``; n >= 1 detected."""
+    _require_detected(cfg)
     return _branch_table(cfg.n_detected, _branch_phases(cfg, variable, grid), cfg.transmission)
 
 

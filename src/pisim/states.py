@@ -158,16 +158,21 @@ def loss(j: int) -> PathLabel:
 Outcome = tuple[PathLabel, ...]
 
 
-def detector_outcome(ports: Sequence[int], particles: Sequence[int] | None = None) -> Outcome:
-    """Product outcome of detector labels for 0/1 ``ports`` (0 -> d_k, 1 -> d_k')."""
-    if particles is None:
-        particles = range(1, len(ports) + 1)
+def detector_outcome(ports: Sequence[int]) -> Outcome:
+    """Product outcome of detector labels for 0/1 ``ports`` (0 -> d_k, 1 -> d_k'), k = 1, 2, ..."""
     labels = []
-    for port, particle in zip(ports, particles):
+    for particle, port in enumerate(ports, 1):
         if port not in (0, 1):
             raise ValueError(f"port must be 0 or 1, got {port!r}")
         labels.append(detector(particle) if port == 0 else primed_detector(particle))
     return tuple(labels)
+
+
+def port_outcomes(particles: Iterable[int]) -> tuple[Outcome, ...]:
+    """The 2^k detector outcomes of the k ``particles`` in column order: outcome x reads
+    its ports as the bits of x, the first particle the highest bit, unprimed d_k = 0 and
+    primed d_k' = 1.  This is the order of every table column and port basis in pisim."""
+    return tuple(itertools.product(*((detector(j), primed_detector(j)) for j in particles)))
 
 
 def format_outcome(outcome: Outcome) -> str:

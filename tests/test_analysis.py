@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import inspect
 import math
 
 import numpy as np
@@ -13,6 +14,7 @@ from pisim import (
     DensityMatrix,
     EntangledClass,
     EntangledClassId,
+    LabelKind,
     NormalizationError,
     SchemeConfig,
     VisibilityUndefinedError,
@@ -40,6 +42,7 @@ from pisim import (
     to_density,
     visibility,
 )
+from pisim.analysis import _computational_matrix
 from pisim.interferometer import branch_probabilities
 from conftest import case_i, random_detector_state
 
@@ -77,6 +80,17 @@ def aligned_schemes(draw) -> SchemeConfig:
         theta=tuple(draw(phases) for _ in range(m)),
         transmission=tuple(draw(transmissions) for _ in range(m)),
     )
+
+
+def port_index_reference(outcome, particles) -> int:
+    """The ports of ``outcome`` read label by label as a binary number, the first of
+    ``particles`` the highest bit, unprimed 0 and primed 1: independent of port_outcomes."""
+    bits = {LabelKind.DETECTOR_UNPRIMED: 0, LabelKind.DETECTOR_PRIMED: 1}
+    value = 0
+    for label, particle in zip(outcome, particles):
+        assert label.index == particle
+        value = 2 * value + bits[label.kind]
+    return value
 
 
 def w_state():
@@ -229,6 +243,35 @@ class TestConcurrence:
         with pytest.raises(ValueError):
             concurrence(to_density(bad))
         assert concurrence(rho) == pytest.approx(1.0, abs=1e-9)
+
+    def test_incomplete_basis_is_embedded_at_its_port_columns(self):
+        # two of the four port outcomes of particles 1 and 3, so the basis is incomplete
+        d1, p1, d3, p3 = detector(1), primed_detector(1), detector(3), primed_detector(3)
+        basis = ((d1, p3), (p1, d3))
+        matrix = np.array([[0.7, 0.3 - 0.2j], [0.3 + 0.2j, 0.3]])
+        rho = DensityMatrix((1, 3), basis, matrix)
+        columns = [port_index_reference(outcome, (1, 3)) for outcome in basis]
+        assert columns == [1, 2]
+        dense = np.zeros((4, 4), dtype=complex)
+        dense[np.ix_(columns, columns)] = matrix
+        assert np.array_equal(_computational_matrix(rho), dense)
+        completed = DensityMatrix((1, 3), ((d1, d3), (d1, p3), (p1, d3), (p1, p3)), dense)
+        assert concurrence(rho) == concurrence(completed)
+
+    @pytest.mark.parametrize(
+        "outcome",
+        [
+            (detector(1), aligned_beam(2)),
+            (detector(1), loss(2)),
+            (detector(2), detector(1)),
+            (detector(1), primed_detector(3)),
+        ],
+        ids=["aligned", "loss", "swapped-particles", "foreign-port"],
+    )
+    def test_label_outside_its_detector_ports_rejected(self, outcome):
+        rho = DensityMatrix((1, 2), (outcome,), [[1.0]])
+        with pytest.raises(ValueError, match="cannot be mapped to a detector port"):
+            concurrence(rho)
 
     def test_invariant_under_identical_port_relabeling(self):
         rho = even_parity_mixture(0.62)
@@ -401,3 +444,17 @@ class TestPureStateFromDensity:
     def test_mixed_state_rejected(self):
         with pytest.raises(ValueError):
             pure_state_from_density(even_parity_mixture(0.5))
+
+    def test_takes_no_tolerance(self):
+        assert list(inspect.signature(pure_state_from_density).parameters) == ["rho"]
+
+    @pytest.mark.parametrize("weight", [5e-11, 1e-10, 2e-10])
+    def test_subleading_eigenvalue_bound_is_1e_10(self, weight):
+        basis = ((detector(1),), (primed_detector(1),))
+        rho = DensityMatrix((1,), basis, np.diag([1.0 - weight, weight]))
+        if weight <= 1e-10:
+            assert pure_state_from_density(rho).amplitude(basis[0]) == 1.0
+            return
+        message = r"density matrix is not pure within 1e-10 \(second eigenvalue 2.000e-10\)"
+        with pytest.raises(ValueError, match=message):
+            pure_state_from_density(rho)

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pisim import SchemeConfig, outcome_probabilities, run_scheme, sweep_pattern
+from pisim import ConfigError, SchemeConfig, outcome_probabilities, run_scheme, sweep_pattern
 from pisim.cli import _fmt
 from pisim.interferometer import branch_probabilities
 from conftest import attenuated_coincidence
@@ -130,3 +130,28 @@ class TestThreeRoutes:
         table = branch_probabilities(cfg)
         assert_matches_engine(cfg, table)
         assert abs(table.loss_free.sum() + table.lost - 1.0) <= 1e-12
+
+
+class TestNoDetectedParticle:
+    """A scheme with every particle aligned has no coincidence to count: the engine, the
+    table and the sweep reject it with the same ConfigError, before reading any grid."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            run_scheme,
+            branch_probabilities,
+            lambda cfg: branch_probabilities(cfg, "theta.1", [0.0, 1.0]),
+            lambda cfg: branch_probabilities(cfg, "theta.1", []),
+            lambda cfg: sweep_pattern(cfg, "theta.1", [0.0, 1.0]),
+            lambda cfg: sweep_pattern(cfg, "theta.1", []),
+        ],
+        ids=["run_scheme", "table", "table-sweep", "table-empty-sweep", "sweep", "empty-sweep"],
+    )
+    @pytest.mark.parametrize(
+        "cfg", [SchemeConfig(2, 2), SchemeConfig(1, 1, transmission=(0.5,))], ids=["2-2", "1-1"]
+    )
+    def test_rejected_under_field_m(self, call, cfg):
+        with pytest.raises(ConfigError, match="needs a detected particle") as info:
+            call(cfg)
+        assert info.value.field == "m"

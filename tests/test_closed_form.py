@@ -3,31 +3,40 @@
 from __future__ import annotations
 
 import cmath
+import inspect
 import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pisim import (
+    DetectionOutcome,
     EntangledClass,
     EntangledClassId,
     SchemeConfig,
     bell_phi_minus,
     bell_psi_plus,
     conditional_detected_state,
+    detector,
     detector_outcome,
     dicke_state,
     entangled_class_state,
     fidelity,
     ghz_class_three,
     inner_product,
+    outcome_probabilities,
     predicted_output_state,
     predicted_probability,
+    primed_detector,
+    pure_state_from_terms,
     run_scheme,
     state_fidelity,
     xi_for_class,
 )
+from pisim.states import port_outcomes
 
 F1, F2, F3, F4 = (
     EntangledClassId.F1,
@@ -42,6 +51,106 @@ def all_valid_classes(max_n: int):
         ns = range(2, max_n + 1, 2) if class_id in (F1, F2) else range(1, max_n + 1, 2)
         for n in ns:
             yield class_id, n
+
+
+def _ports_of_combination(n: int, primed_slots: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(1 if k in primed_slots else 0 for k in range(n))
+
+
+def _dicke_reference(n: int, r: int):
+    """dicke_state written out independently of port_outcomes: one outcome per
+    combination of r primed slots."""
+    amp = 1.0 / math.sqrt(math.comb(n, r))
+    slots = itertools.combinations(range(n), r)
+    outcomes = [detector_outcome(_ports_of_combination(n, c)) for c in slots]
+    return pure_state_from_terms((outcome, amp) for outcome in outcomes)
+
+
+def _predicted_reference(n: int, xi: float):
+    """predicted_output_state written out independently of port_outcomes: the product of
+    each particle's two ports, with its primed-port count from a parallel product of bits."""
+    phase = cmath.exp(1j * float(xi))
+    scale = 0.5 ** ((n + 1) / 2)
+    i_pow = (1 + 0j, 1j, -1 + 0j, -1j)
+    by_r = [scale * (i_pow[r % 4] + i_pow[(n - r) % 4] * phase) for r in range(n + 1)]
+    outcomes = itertools.product(*((detector(j), primed_detector(j)) for j in range(1, n + 1)))
+    primed = map(sum, itertools.product((0, 1), repeat=n))
+    return pure_state_from_terms(zip(outcomes, map(by_r.__getitem__, primed)))
+
+
+def _class_reference(cls: EntangledClass):
+    """entangled_class_state written out independently of port_outcomes: each Dicke
+    component of the class in turn, one outcome per combination, the sign alternating."""
+    r_values = cls.dicke_r_values
+    amp = math.sqrt(1.0 / sum(math.comb(cls.n, r) for r in r_values))
+    terms = []
+    for position, r in enumerate(r_values):
+        sign = -amp if position % 2 else amp
+        for primed_slots in itertools.combinations(range(cls.n), r):
+            terms.append((detector_outcome(_ports_of_combination(cls.n, primed_slots)), sign))
+    return pure_state_from_terms(terms)
+
+
+def assert_same_amplitudes(psi, reference) -> None:
+    """The same outcomes, and the same amplitude at each, compared with ``==``."""
+    assert set(psi.amplitudes) == set(reference.amplitudes)
+    for outcome, amp in reference.amplitudes.items():
+        assert psi.amplitudes[outcome] == amp, outcome
+
+
+class TestPortOrder:
+    """The builders read their outcomes from port_outcomes in column order, the order of the
+    engine's tables, and keep every amplitude of the per-combination constructions."""
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_predicted_output_state_bits(self, n):
+        for xi in (0.0, 0.3, math.pi / 2, math.pi, 2.0, -5.1):
+            assert_same_amplitudes(predicted_output_state(n, xi), _predicted_reference(n, xi))
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_dicke_state_bits(self, n):
+        for r in range(n + 1):
+            assert_same_amplitudes(dicke_state(n, r), _dicke_reference(n, r))
+
+    @pytest.mark.parametrize("class_id,n", list(all_valid_classes(8)))
+    def test_entangled_class_state_bits(self, class_id, n):
+        cls = EntangledClass(class_id, n)
+        assert_same_amplitudes(entangled_class_state(cls), _class_reference(cls))
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_column_x_is_detection_outcome_x(self, n):
+        outcomes, detections = port_outcomes(range(1, n + 1)), DetectionOutcome.all_outcomes(n)
+        assert len(outcomes) == len(detections) == 2**n
+        for x, outcome in enumerate(outcomes):
+            assert outcome == detector_outcome(detections[x].ports)
+
+    def test_particles_keep_their_labels(self):
+        d2, d4, p2, p4 = detector(2), detector(4), primed_detector(2), primed_detector(4)
+        assert port_outcomes((2, 4)) == ((d2, d4), (d2, p4), (p2, d4), (p2, p4))
+        assert port_outcomes(()) == ((),)
+
+    def test_detector_outcome_takes_only_ports(self):
+        assert list(inspect.signature(detector_outcome).parameters) == ["ports"]
+        assert detector_outcome((1, 0)) == (primed_detector(1), detector(2))
+        with pytest.raises(ValueError, match="port must be 0 or 1, got 2"):
+            detector_outcome((0, 2))
+
+    @given(
+        n_total=st.integers(1, 9),
+        data=st.data(),
+        phases=st.lists(st.floats(-7.0, 7.0), min_size=10, max_size=10),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_engine_column_is_closed_form_probability(self, n_total, data, phases):
+        m = data.draw(st.integers(0, n_total - 1))
+        n = n_total - m
+        phi, theta = tuple(phases[1 : n + 1]), tuple(phases[n + 1 : n_total + 1])
+        cfg = SchemeConfig(n_total, m, phi0=phases[0], phi=phi, theta=theta)
+        row = outcome_probabilities(run_scheme(cfg)).loss_free[0]
+        psi = predicted_output_state(n, cfg.xi)
+        assert len(row) == 2**n
+        for x, outcome in enumerate(port_outcomes(range(1, n + 1))):
+            assert abs(row[x] - abs(psi.amplitude(outcome)) ** 2) <= 1e-12, x
 
 
 class TestDickeState:
