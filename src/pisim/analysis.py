@@ -8,16 +8,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import NormalizationError, VisibilityUndefinedError
-from .interferometer import SchemeConfig, _require_detected, outcome_probabilities, run_scheme
-from .states import (
-    DensityMatrix,
-    Outcome,
-    PureState,
-    format_outcome,
-    port_outcomes,
-    pure_state_from_terms,
-    to_density,
-)
+from .interferometer import SchemeConfig, outcome_probabilities, run_scheme
+from .states import DensityMatrix, PureState, port_columns, pure_state_from_terms, to_density
 
 _PROBABILITY_SLACK = 1e-9
 #: Largest subleading eigenvalue :func:`pure_state_from_density` accepts.
@@ -30,9 +22,7 @@ def sweep_pattern(cfg: SchemeConfig, variable: str, grid: Sequence[float]) -> np
     """Loss-inclusive probabilities of every coincidence outcome along a phase sweep,
     from one scheme run per phase of ``variable`` (as in :meth:`SchemeConfig.replace_phase`):
     one row per ``grid`` value, column x the outcome ``port_outcomes(range(1, n + 1))[x]``,
-    as in :func:`branch_probabilities`.  A scheme with no detected particle or an unknown
-    variable is rejected whatever the grid."""
-    _require_detected(cfg)
+    as in :func:`branch_probabilities`.  An unknown variable is rejected whatever the grid."""
     cfg.phase_slot(variable)
     states = (run_scheme(cfg.replace_phase(variable, float(v))) for v in grid)
     rows = [outcome_probabilities(state).marginal[0] for state in states]
@@ -70,20 +60,10 @@ def visibility(phases: Sequence[float], samples: Sequence[float]) -> float:
     return float((peak - trough) / (peak + trough))
 
 
-def _port_columns(outcomes: Sequence[Outcome], particles: Sequence[int]) -> list[int]:
-    """The column of each of ``outcomes`` among :func:`port_outcomes` of ``particles``."""
-    column = {outcome: x for x, outcome in enumerate(port_outcomes(particles))}
-    try:
-        return [column[outcome] for outcome in outcomes]
-    except KeyError as error:
-        outcome = format_outcome(error.args[0])
-        raise ValueError(f"outcome {outcome} cannot be mapped to a detector port") from None
-
-
 def _computational_matrix(rho: DensityMatrix) -> np.ndarray:
     """Embed a detector-label density matrix into the dense 0/1 port basis."""
     k = len(rho.kept_particles)
-    indices = _port_columns(rho.basis, rho.kept_particles)
+    indices = port_columns(rho.basis, rho.kept_particles)
     dense = np.zeros((2**k, 2**k), dtype=complex)
     dense[np.ix_(indices, indices)] = rho.matrix
     return dense
@@ -129,7 +109,7 @@ def three_tangle(psi: PureState) -> float:
         raise ValueError(f"three_tangle needs a three-particle state, got {psi.particle_count}")
     if not psi.is_normalized:
         raise NormalizationError("three_tangle needs a normalized state")
-    a = dict(zip(_port_columns(psi.amplitudes, (1, 2, 3)), psi.amplitudes.values()))
+    a = dict(zip(port_columns(psi.amplitudes, (1, 2, 3)), psi.amplitudes.values()))
     a000, a001, a010, a011, a100, a101, a110, a111 = (a.get(x, 0j) for x in range(8))
     p, q, r, s = a000 * a111, a001 * a110, a010 * a101, a100 * a011
     d1 = p * p + q * q + r * r + s * s
@@ -140,10 +120,10 @@ def three_tangle(psi: PureState) -> float:
 
 def fidelity(rho: DensityMatrix, target: PureState) -> float:
     """Overlap ``<target|rho|target>`` of a mixed state with a pure target."""
-    if target.particle_count != len(rho.kept_particles):
+    particles = tuple(label.index for label in next(iter(target.amplitudes)))
+    if particles != rho.kept_particles:  # each slot of a state carries one particle's labels
         raise ValueError(
-            f"target covers {target.particle_count} particles, "
-            f"density matrix covers {len(rho.kept_particles)}"
+            f"target covers particles {particles}, density matrix covers {rho.kept_particles}"
         )
     if not target.is_normalized:
         raise NormalizationError("fidelity target must be normalized")

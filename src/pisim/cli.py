@@ -183,14 +183,8 @@ class _Entries:
             what = "an integer" if kind is int else "a number"
             raise self.error(key, f"expected {what}, got {found[0]!r}")
 
-    def matching(self, prefix: str) -> list[str]:
-        return [k for k in self.pairs if k.startswith(prefix)]
 
-
-def _parse_scheme(entries: _Entries, required: bool) -> SchemeConfig | None:
-    has_any = bool(entries.matching("scheme."))
-    if not has_any and not required:
-        return None
+def _parse_scheme(entries: _Entries) -> SchemeConfig:
     n = entries.take_as("scheme.n", int, _REQUIRED)
     m = entries.take_as("scheme.m", int, _REQUIRED)
     if not 1 <= n <= MAX_PARTICLES:
@@ -202,9 +196,6 @@ def _parse_scheme(entries: _Entries, required: bool) -> SchemeConfig | None:
     aligned = range(n - m + 1, n + 1)
     theta = tuple(entries.take_as(f"scheme.theta.{l}", float, 0.0) for l in aligned)
     trans = tuple(entries.take_as(f"scheme.transmission.{l}", float, 1.0) for l in aligned)
-    leftovers = [k for k in entries.matching("scheme.") if k not in entries.consumed]
-    if leftovers:
-        raise entries.error(leftovers[0], "key does not fit this scheme")
     try:
         return SchemeConfig(n, m, phi0=phi0, phi=phi, theta=theta, transmission=trans)
     except ConfigError as exc:
@@ -276,6 +267,8 @@ def _parse_oracle(entries: _Entries) -> OracleSpec:
 def _target_class(name: str, n_detected: int) -> EntangledClass:
     """The F class that target ``name`` names at ``n_detected`` detected particles;
     ValueError if it names none there."""
+    if name not in _TARGETS:
+        raise ValueError(f"unknown target {name!r} (expected one of {', '.join(TARGET_NAMES)})")
     class_name, needs = _TARGETS[name]
     if needs not in (None, n_detected):
         count = "two" if needs == 2 else "three"
@@ -283,23 +276,12 @@ def _target_class(name: str, n_detected: int) -> EntangledClass:
     return EntangledClass(EntangledClassId(class_name), n_detected)
 
 
-def _validate_target(name: str, scheme: SchemeConfig | None, entries: _Entries) -> None:
-    if name not in _TARGETS:
-        raise entries.error(
-            "target", f"unknown target {name!r} (expected one of {', '.join(TARGET_NAMES)})"
-        )
-    if scheme is not None:
-        try:
-            _target_class(name, scheme.n_detected)
-        except ValueError as exc:
-            raise entries.error("target", str(exc))
-
-
 def parse_scenario(text: str) -> Scenario:
     """Parse and validate a scenario document.
 
     Raises :class:`ScenarioParseError` naming the offending key and line for
-    missing keys, type mismatches, and invariant violations.
+    missing keys, type mismatches, and invariant violations.  A key that the
+    command does not read is an unknown key.
     """
     entries = _Entries(text)
     command = entries.take_as("command", str, _REQUIRED)
@@ -309,25 +291,19 @@ def parse_scenario(text: str) -> Scenario:
         )
 
     if command == "entangle":  # its grid sets every transmission
-        for key in entries.matching("scheme.transmission."):
+        for key in [k for k in entries.pairs if k.startswith("scheme.transmission.")]:
             raise entries.error(key, "entangle takes its transmissions from entangle.grid")
-    scheme = _parse_scheme(entries, required=command != "oracle-check")
-    if command != "oracle-check" and scheme.n_detected == 0:
-        raise entries.error(
-            "scheme.m", "the scheme must leave at least one detected particle (m < n)"
-        )
-
+    scheme = _parse_scheme(entries) if command != "oracle-check" else None
     sweep = _parse_sweep(entries, scheme) if command == "sweep" else None
-    for key in entries.matching("sweep."):
-        if command != "sweep":
-            raise entries.error(key, "sweep settings are only valid with 'command = sweep'")
-
     entangle_grid = _parse_entangle_grid(entries) if command == "entangle" else None
     oracle = _parse_oracle(entries) if command == "oracle-check" else None
 
-    target = entries.take_as("target")
+    target = entries.take_as("target") if command == "entangle" else None
     if target is not None:
-        _validate_target(target, scheme, entries)
+        try:
+            _target_class(target, scheme.n_detected)
+        except ValueError as exc:
+            raise entries.error("target", str(exc))
 
     output_path = entries.take_as("output")
     if output_path is not None and "\0" in output_path:

@@ -27,6 +27,7 @@ from .states import (
     aligned_beam,
     detector,
     loss,
+    port_columns,
     primed_detector,
     primed_source_beam,
     pruned_state,
@@ -81,6 +82,10 @@ class SchemeConfig:
             raise ConfigError(f"n_particles must lie in [1, {MAX_PARTICLES}], got {n}", field="n")
         if not 0 <= m <= n:
             raise ConfigError(f"n_aligned must lie in [0, {n}], got {m}", field="m")
+        if m == n:  # no particle reaches a beam splitter, so no coincidence shows interference
+            raise ConfigError(
+                "a scheme needs a detected particle (n_aligned < n_particles)", field="m"
+            )
 
         phi = tuple(self.phi) or (0.0,) * (n - m)
         theta = tuple(self.theta) or (0.0,) * m
@@ -148,12 +153,12 @@ class DetectionOutcome:
     ports: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        ports = tuple(int(p) for p in self.ports)
+        ports = tuple(self.ports)
         if not ports:
             raise ValueError("a detection outcome needs at least one port")
-        if any(p not in (0, 1) for p in ports):
+        if any(p not in (0, 1) for p in ports):  # before int(), which reads 0.7 or "1"
             raise ValueError(f"ports must be 0 or 1, got {ports}")
-        object.__setattr__(self, "ports", ports)
+        object.__setattr__(self, "ports", tuple(int(p) for p in ports))
 
     def bitstring(self) -> str:
         return "".join(str(p) for p in self.ports)
@@ -263,20 +268,12 @@ def apply_beam_splitter(psi: PureState, particle: int, phi: float) -> PureState:
     return _map_source_beams(psi, particle, "apply a beam splitter to", unprimed, primed)
 
 
-def _require_detected(cfg: SchemeConfig) -> None:
-    """A ConfigError unless a particle of ``cfg`` reaches the beam splitters: with every
-    particle aligned the two branches interfere and probability is not conserved."""
-    if cfg.n_detected == 0:
-        raise ConfigError("a scheme needs a detected particle (n_aligned < n_particles)", field="m")
-
-
 def run_scheme(cfg: SchemeConfig) -> PureState:
     """Full evolution: source superposition, alignment stage, beam splitters.
 
     Returns the normalized joint state over detector, aligned-beam, and loss
-    labels.  At least one particle must reach the beam splitters.
+    labels.
     """
-    _require_detected(cfg)
     state = build_two_source_state(cfg)
     for l, theta, transmission in zip(cfg.aligned_range, cfg.theta, cfg.transmission):
         state = apply_path_identity(state, l, theta, transmission)
@@ -323,13 +320,10 @@ def outcome_probabilities(psi: PureState) -> BranchTable:
     if not detected:
         raise ValueError("state has no detected particles")
     count, cells = psi.term_count, 2 ** len(detected)
-    ports = np.zeros(count, dtype=np.intp)  # the first detected particle is the highest bit
+    ports = np.array(port_columns(zip(*(columns[j - 1] for j in detected)), detected), np.intp)
     absorbed = np.zeros(count, dtype=bool)
     for particle, column in enumerate(columns, 1):
-        if particle in detected:
-            bits = {label: int(label.kind is LabelKind.DETECTOR_PRIMED) for label in set(column)}
-            ports = 2 * ports + np.fromiter(map(bits.__getitem__, column), np.intp, count)
-        else:
+        if particle not in detected:
             flags = {label: label.kind is LabelKind.LOSS for label in set(column)}
             absorbed |= np.fromiter(map(flags.__getitem__, column), bool, count)
     weights = np.fromiter((abs(a) ** 2 for a in psi.amplitudes.values()), float, count)
@@ -347,8 +341,7 @@ def branch_probabilities(
     The output is ``A = (T e^{i sum theta} U + e^{i(phi0 + sum phi)} P)/sqrt(2)`` with
     ``U = 2^(-n/2) i^r``, ``P = 2^(-n/2) i^(n-r)`` at ``r`` primed ports and ``T = prod t``,
     plus ``(1 - T^2)/2 |U|^2`` lost; ``|A| <= AMPLITUDE_EPSILON`` cancels, as in the engine.
-    One row per ``grid`` value of the phase ``variable``, or for ``cfg``; n >= 1 detected."""
-    _require_detected(cfg)
+    One row per ``grid`` value of the phase ``variable``, or for ``cfg``."""
     return _branch_table(cfg.n_detected, _branch_phases(cfg, variable, grid), cfg.transmission)
 
 

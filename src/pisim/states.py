@@ -175,6 +175,17 @@ def port_outcomes(particles: Iterable[int]) -> tuple[Outcome, ...]:
     return tuple(itertools.product(*((detector(j), primed_detector(j)) for j in particles)))
 
 
+def port_columns(outcomes: Iterable[Outcome], particles: Sequence[int]) -> list[int]:
+    """The column of each of ``outcomes`` among :func:`port_outcomes` of ``particles``;
+    ValueError for an outcome that is not one of them."""
+    column = {outcome: x for x, outcome in enumerate(port_outcomes(particles))}
+    try:
+        return [column[outcome] for outcome in outcomes]
+    except KeyError as error:
+        outcome = format_outcome(error.args[0])
+        raise ValueError(f"outcome {outcome} cannot be mapped to a detector port") from None
+
+
 def format_outcome(outcome: Outcome) -> str:
     return "|" + " ".join(str(label) for label in outcome) + ">"
 

@@ -385,6 +385,16 @@ class TestFidelity:
         with pytest.raises(ValueError):
             fidelity(even_parity_mixture(0.5), ghz_class_three())
 
+    def test_target_over_other_particles_rejected(self):
+        # the target's labels are d1 and d2, the basis holds d1 and d3: no outcome overlaps
+        rho = partial_trace(conditional_detected_state(run_scheme(SchemeConfig(4, 1))), (1, 3))
+        with pytest.raises(ValueError) as info:
+            fidelity(rho, bell_psi_plus())
+        assert str(info.value) == "target covers particles (1, 2), density matrix covers (1, 3)"
+        with pytest.raises(ValueError) as info:
+            fidelity(even_parity_mixture(0.5), ghz_class_three())
+        assert str(info.value) == "target covers particles (1, 2, 3), density matrix covers (1, 2)"
+
     def test_unnormalized_target_rejected(self):
         target = pure_state_from_terms([(detector_outcome((0, 0)), 0.3)])
         with pytest.raises(NormalizationError):

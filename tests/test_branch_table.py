@@ -133,8 +133,20 @@ class TestThreeRoutes:
 
 
 class TestNoDetectedParticle:
-    """A scheme with every particle aligned has no coincidence to count: the engine, the
-    table and the sweep reject it with the same ConfigError, before reading any grid."""
+    """A scheme with every particle aligned has no coincidence to count: SchemeConfig
+    refuses it under field m, so no route is ever handed one."""
+
+    SIZES = [
+        dict(n_particles=2, n_aligned=2),
+        dict(n_particles=1, n_aligned=1, transmission=(0.5,)),
+    ]
+
+    @pytest.mark.parametrize("sizes", SIZES, ids=["2-2", "1-1"])
+    def test_construction_rejected_under_field_m(self, sizes):
+        with pytest.raises(ConfigError) as info:
+            SchemeConfig(**sizes)
+        assert info.value.field == "m"
+        assert str(info.value) == "a scheme needs a detected particle (n_aligned < n_particles)"
 
     @pytest.mark.parametrize(
         "call",
@@ -148,10 +160,9 @@ class TestNoDetectedParticle:
         ],
         ids=["run_scheme", "table", "table-sweep", "table-empty-sweep", "sweep", "empty-sweep"],
     )
-    @pytest.mark.parametrize(
-        "cfg", [SchemeConfig(2, 2), SchemeConfig(1, 1, transmission=(0.5,))], ids=["2-2", "1-1"]
-    )
-    def test_rejected_under_field_m(self, call, cfg):
+    @pytest.mark.parametrize("sizes", SIZES, ids=["2-2", "1-1"])
+    def test_rejected_under_field_m(self, call, sizes):
+        # every route's contract, wherever the check lives: the call never starts
         with pytest.raises(ConfigError, match="needs a detected particle") as info:
-            call(cfg)
+            call(SchemeConfig(**sizes))
         assert info.value.field == "m"

@@ -45,7 +45,6 @@ from pisim.cli import (
     MAX_ENTANGLE_GRID,
     MAX_ENTANGLE_TERMS,
     MAX_ORACLE_RUNS,
-    MAX_PARTICLES,
     MAX_SWEEP_CELLS,
     MAX_SWEEP_STEPS,
     USAGE,
@@ -63,6 +62,9 @@ command = run
 scheme.n = 3
 scheme.m = 1
 """
+
+#: The same scheme as an ``entangle`` document, the one command that reads ``target``.
+CASE_I_ENTANGLE = CASE_I_RUN.replace("command = run", "command = entangle")
 
 CASE_I_SWEEP = """
 command = sweep
@@ -202,8 +204,9 @@ class TestParseScenario:
             parse_scenario("command = run\nscheme.n = three\nscheme.m = 1\n")
 
     def test_sweep_settings_need_sweep_command(self):
-        with pytest.raises(ScenarioParseError, match="command = sweep"):
+        with pytest.raises(ScenarioParseError) as info:
             parse_scenario(CASE_I_RUN + "sweep.steps = 64\n")
+        assert str(info.value) == "line 6, key 'sweep.steps': unknown key"
 
     def test_sweep_steps_minimum(self):
         text = CASE_I_SWEEP.replace("sweep.steps = 64", "sweep.steps = 4")
@@ -264,12 +267,16 @@ class TestParseScenario:
             parse_scenario(text)
 
     def test_target_dimension_checked(self):
-        with pytest.raises(ScenarioParseError, match="GHZ3"):
-            parse_scenario(CASE_I_RUN + "target = GHZ3\n")
+        with pytest.raises(ScenarioParseError) as info:
+            parse_scenario(CASE_I_ENTANGLE + "target = GHZ3\n")
+        message = "target GHZ3 needs three detected particles, scheme has 2"
+        assert str(info.value) == f"line 6, key 'target': {message}"
 
     def test_fully_aligned_scheme_rejected(self):
-        with pytest.raises(ScenarioParseError, match="detected"):
+        with pytest.raises(ScenarioParseError) as info:
             parse_scenario("command = run\nscheme.n = 2\nscheme.m = 2\n")
+        message = "a scheme needs a detected particle (n_aligned < n_particles)"
+        assert str(info.value) == f"line 3, key 'scheme.m': {message}"
 
     def test_case_ii_document(self):
         text = (
@@ -291,26 +298,30 @@ class TestRequiredKeysAndBounds:
     detected-particle count, each reported under its key."""
 
     @pytest.mark.parametrize(
-        "text, key",
+        "text, key, line, reason",
         [
-            ("scheme.n = 3\nscheme.m = 1\n", "command"),
-            ("command = run\nscheme.m = 1\n", "scheme.n"),
-            ("command = entangle\nscheme.n = 3\n", "scheme.m"),
-            ("command = sweep\nscheme.m = 1\nscheme.n = 3\nsweep.steps = 8\n", "sweep.variable"),
-            ("command = oracle-check\nscheme.m = 1\n", "scheme.n"),  # a scheme key needs both
-            ("command = run\n", "scheme.n"),
-            ("command = run\nscheme.m = x\n", "scheme.n"),  # named before scheme.m is read
+            ("scheme.n = 3\nscheme.m = 1\n", "command", None, "missing key"),
+            ("command = run\nscheme.m = 1\n", "scheme.n", None, "missing key"),
+            ("command = entangle\nscheme.n = 3\n", "scheme.m", None, "missing key"),
+            ("command = sweep\nscheme.m = 1\nscheme.n = 3\nsweep.steps = 8\n", "sweep.variable",
+             None, "missing key"),
+            # oracle-check reads no scheme, so it asks for no scheme.n either
+            ("command = oracle-check\nscheme.m = 1\n", "scheme.m", 2, "unknown key"),
+            ("command = run\n", "scheme.n", None, "missing key"),
+            # named before scheme.m is read
+            ("command = run\nscheme.m = x\n", "scheme.n", None, "missing key"),
         ],
         ids=[
             "command", "scheme.n", "scheme.m", "sweep.variable", "oracle-scheme.n", "no-scheme",
             "before-a-bad-scheme.m",
-        ],  # fmt: skip
-    )
-    def test_missing_key_is_named(self, text, key):
+        ],
+    )  # fmt: skip
+    def test_missing_key_is_named(self, text, key, line, reason):
         with pytest.raises(ScenarioParseError) as info:
             parse_scenario(text)
-        assert (info.value.key, info.value.line) == (key, None)
-        assert str(info.value) == f"key '{key}': missing key"
+        assert (info.value.key, info.value.line) == (key, line)
+        where = f"line {line}, " if line else ""
+        assert str(info.value) == f"{where}key '{key}': {reason}"
 
     @pytest.mark.parametrize(
         "text, key, line, message",
@@ -358,7 +369,9 @@ class TestRequiredKeysAndBounds:
     def test_target_at_each_detected_count(self, command, target, detected):
         text = f"command = {command}\nscheme.n = {detected + 1}\nscheme.m = 1\ntarget = {target}\n"
         needs = {"Psi+": "two", "Phi-": "two", "GHZ3": "three"}.get(target)
-        if needs and detected != ("two", "three").index(needs) + 2:
+        if command == "run":  # only entangle reads a target
+            message = "line 4, key 'target': unknown key"
+        elif needs and detected != ("two", "three").index(needs) + 2:
             message = f"line 4, key 'target': target {target} needs {needs} detected particles"
             message += f", scheme has {detected}"
         elif target in ("F1", "F2") and detected % 2:
@@ -376,13 +389,51 @@ class TestRequiredKeysAndBounds:
 
     def test_unknown_target_lists_every_name(self):
         with pytest.raises(ScenarioParseError) as info:
-            parse_scenario(CASE_I_RUN + "target = F5\n")
+            parse_scenario(CASE_I_ENTANGLE + "target = F5\n")
         expected = f"unknown target 'F5' (expected one of {', '.join(TARGETS)})"
         assert str(info.value) == f"line 6, key 'target': {expected}"
 
     @pytest.mark.parametrize("target", TARGETS)
     def test_target_without_a_scheme_is_only_named(self, target):
-        assert parse_scenario(f"command = oracle-check\ntarget = {target}\n").target == target
+        # oracle-check reads no target: named as an unknown key, whatever the name
+        with pytest.raises(ScenarioParseError) as info:
+            parse_scenario(f"command = oracle-check\ntarget = {target}\n")
+        assert str(info.value) == "line 2, key 'target': unknown key"
+
+    @pytest.mark.parametrize(
+        "command, text, key, line",
+        [
+            ("run", "scheme.n = 4\nscheme.m = 1\ntarget = GHZ3\n", "target", 5),
+            ("sweep", "scheme.n = 3\nscheme.m = 1\nsweep.variable = phi0\ntarget = Psi+\n",
+             "target", 6),
+            ("oracle-check", "scheme.n = 2\nscheme.m = 2\n", "scheme.n", 3),
+            ("oracle-check", "oracle.cases = 2\ntarget = F1\n", "target", 4),
+            ("entangle", "scheme.n = 3\nscheme.m = 1\nsweep.variable = phi0\n", "sweep.variable",
+             5),
+            ("run", "scheme.n = 3\nscheme.m = 1\nscheme.phi.3 = 0.5\n", "scheme.phi.3", 5),
+            ("run", "scheme.n = 3\nscheme.m = 1\nscheme.theta.1 = 0.5\nbogus = 1\n",
+             "scheme.theta.1", 5),
+        ],
+        ids=["run-target", "sweep-target", "oracle-scheme", "oracle-target", "entangle-sweep",
+             "phi-of-an-aligned-particle", "theta-of-a-detected-particle"],
+    )  # fmt: skip
+    def test_key_the_command_does_not_read_is_unknown(self, tmp_path, command, text, key, line):
+        scenario, out = tmp_path / "doc.scenario", tmp_path / "doc.csv"
+        scenario.write_text(f"command = {command}\n# a key this command does not read\n" + text)
+        capture = io.StringIO()
+        with contextlib.redirect_stderr(capture):
+            code = main([command, "--scenario", str(scenario), "--out", str(out)])
+        assert code == EXIT_INVALID
+        message = f"line {line}, key '{key}': unknown key"
+        assert capture.getvalue() == f"pisim: scenario error: {message}\n"
+        assert not out.exists()
+
+    def test_no_detected_particle_is_reported_before_the_phases(self):
+        text = "command = run\nscheme.n = 2\nscheme.m = 2\nscheme.theta.1 = inf\n"
+        with pytest.raises(ScenarioParseError) as info:
+            parse_scenario(text)
+        message = "a scheme needs a detected particle (n_aligned < n_particles)"
+        assert str(info.value) == f"line 3, key 'scheme.m': {message}"
 
 
 class TestRunCommand:
@@ -935,21 +986,22 @@ class TestFiles:
 
     @pytest.mark.parametrize("char", OTHER_BREAKS.values(), ids=OTHER_BREAKS)
     def test_other_breaks_keep_later_line_numbers(self, tmp_path, capsys, char):
-        head = f"command = run\n# a{char}b = 1\nscheme.n = 3\nscheme.m = 1\n"
+        head = f"command = {{}}\n# a{char}b = 1\nscheme.n = 3\nscheme.m = 1\n"
         cases = [
-            ("bogus = 1", "line 5, key 'bogus': unknown key"),
-            (f"scheme.phi0 = 1{char}5", f"line 5, key 'scheme.phi0': expected a number, got "
-             f"{'1' + char + '5'!r}"),
-            (f"target = Psi{char}+", f"line 5, key 'target': unknown target {'Psi' + char + '+'!r}"
-             f" (expected one of {', '.join(TARGETS)})"),
+            ("run", "bogus = 1", "line 5, key 'bogus': unknown key"),
+            ("run", f"scheme.phi0 = 1{char}5", f"line 5, key 'scheme.phi0': expected a number, "
+             f"got {'1' + char + '5'!r}"),
+            ("entangle", f"target = Psi{char}+", f"line 5, key 'target': unknown target "
+             f"{'Psi' + char + '+'!r} (expected one of {', '.join(TARGETS)})"),
         ]  # fmt: skip
         path = tmp_path / "case.scenario"
-        for line, message in cases:
-            path.write_bytes((head + line + "\n").encode("utf-8"))
-            assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "o.csv")]) == 1
+        for command, line, message in cases:
+            path.write_bytes((head.format(command) + line + "\n").encode("utf-8"))
+            argv = [command, "--scenario", str(path), "--out", str(tmp_path / "o.csv")]
+            assert main(argv) == 1
             assert capsys.readouterr().err == f"pisim: scenario error: {message}\n"
-        path.write_bytes((head + f"scheme.phi0 = 1.5{char}\n").encode("utf-8"))  # trailing: blank
-        assert parse_scenario(path.read_bytes().decode("utf-8")).scheme.phi0 == 1.5
+        text = head.format("run") + f"scheme.phi0 = 1.5{char}\n"  # trailing: blank
+        assert parse_scenario(text).scheme.phi0 == 1.5
 
     @pytest.mark.parametrize(
         "scenario, out, message",
@@ -1188,13 +1240,13 @@ _DOCUMENT_VALUES = {
     "bogus": ([], ["1"]),
     "scheme.bogus": ([], ["1"]),
 }
-#: Prefixes of the keys each command accepts beyond ``command``, ``scheme.n`` and
-#: ``scheme.m`` (``entangle`` rejects ``scheme.transmission.<l>``).
+#: Prefixes of the keys each command reads beyond ``command`` (``entangle`` rejects
+#: ``scheme.transmission.<l>``); any other key is unknown to it.
 _COMMAND_KEYS = {
-    "run": ("scheme.", "target", "output"),
-    "sweep": ("scheme.", "sweep.", "target", "output"),
+    "run": ("scheme.", "output"),
+    "sweep": ("scheme.", "sweep.", "output"),
     "entangle": ("scheme.", "entangle.", "target", "output"),
-    "oracle-check": ("oracle.", "target", "output"),
+    "oracle-check": ("oracle.", "output"),
 }
 #: Text inside comments and values: each character ends a line for str.splitlines() alone.
 _INSIDE = ["", *OTHER_BREAKS.values(), "é", "#"]
@@ -1227,11 +1279,12 @@ def _documents(draw):
         return key[:-3] + str(rnd.randint(low, high))
 
     command = value("command")
-    required = ["command", "scheme.n", "scheme.m"] + ["sweep.variable"] * (command == "sweep")
+    prefixes = _COMMAND_KEYS.get(command, ("scheme.",))
+    required = ["command"] + ["scheme.n", "scheme.m"] * ("scheme." in prefixes)
+    required += ["sweep.variable"] * (command == "sweep")
     pairs = [(key, command if key == "command" else value(key)) for key in required]
     sizes = dict(pairs)
     pairs = [pair for pair in pairs if rnd.random() < 0.95]
-    prefixes = _COMMAND_KEYS.get(command, ("scheme.",))
     own = [
         key
         for key, (usual, _) in _DOCUMENT_VALUES.items()
@@ -1257,11 +1310,10 @@ def _documents(draw):
 
 
 def _within_bounds(scenario) -> bool:
-    """Whether an accepted scenario lies within every parse-time cost bound."""
-    scheme = scenario.scheme  # oracle-check reads a scheme only to check the target
-    if scenario.command != "oracle-check" and not 1 <= scheme.n_detected <= scheme.n_particles:
-        return False
-    if scheme is not None and scheme.n_particles > MAX_PARTICLES:
+    """Whether an accepted scenario lies within every parse-time cost bound; a
+    :class:`SchemeConfig` holds its own size bounds."""
+    scheme = scenario.scheme
+    if (scheme is None) != (scenario.command == "oracle-check"):
         return False
     if scenario.sweep is not None:
         steps = scenario.sweep.steps
@@ -1300,8 +1352,8 @@ def test_any_document_exits_with_a_documented_code(document_dir, text):
     """Whatever the document, ``main`` raises nothing and returns 0-3.  A rejected
     document exits 1 with one ``pisim: scenario error:`` line, which names the line of
     the key it names (no line only for a missing key), and a line wherever it names no
-    key.  An accepted document lies within every parse-time bound, and a small one runs
-    through ``main``."""
+    key.  An accepted document gives only keys its command reads, lies within every
+    parse-time bound, and a small one runs through ``main``."""
     path, out = document_dir / "doc.scenario", document_dir / "doc.csv"
     path.write_bytes(text.encode("utf-8"))
     lines = [line.strip() for line in re.split("\r\n|\r|\n", text)]
@@ -1328,6 +1380,10 @@ def test_any_document_exits_with_a_documented_code(document_dir, text):
         event(f"rejected: {'a line' if lines_of_key else 'no line'}")
         return
     assert _within_bounds(scenario)
+    read = ("command", *_COMMAND_KEYS[scenario.command])
+    for key in [lines[n - 1].partition("=")[0].strip() for n in given_on]:
+        assert key.startswith(read), key
+        assert not (scenario.command == "entangle" and key.startswith("scheme.transmission.")), key
     if not _quick(scenario):
         event("accepted, parsed only")
         return

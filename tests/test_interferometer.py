@@ -524,6 +524,25 @@ class TestJointProbability:
         with pytest.raises(ValueError):
             joint_probability(psi, DetectionOutcome((0,)))
 
+    def test_slot_with_another_particles_detector_rejected(self):
+        # slot 1 carries d2: it is a detector label, but not a port of particle 1
+        psi = pure_state_from_terms([((detector(2), aligned_beam(2)), 1.0)])
+        with pytest.raises(ValueError) as info:
+            outcome_probabilities(psi)
+        assert str(info.value) == "outcome |d2> cannot be mapped to a detector port"
+
+    @pytest.mark.parametrize("ports", [(0.7, 1.9), (0.7, 1), ("1", "0"), (0, 2)])
+    def test_ports_are_checked_before_int(self, ports):
+        # int() would read 0.7 as 0, 1.9 as 1 and "1" as 1
+        with pytest.raises(ValueError) as info:
+            DetectionOutcome(ports)
+        assert str(info.value) == f"ports must be 0 or 1, got {ports}"
+
+    def test_integral_ports_are_stored_as_int(self):
+        outcome = DetectionOutcome((True, 0.0, np.int64(1)))
+        assert outcome.ports == (1, 0, 1)
+        assert all(type(p) is int for p in outcome.ports)
+
     def test_matches_brute_force_branch_expansion(self):
         # Independent oracle: expand the two emission branches through the
         # beam-splitter maps literally, term by term.
