@@ -14,8 +14,11 @@ from .states import DensityMatrix, PureState, port_columns, pure_state_from_term
 _PROBABILITY_SLACK = 1e-9
 #: Largest subleading eigenvalue :func:`pure_state_from_density` accepts.
 _PURITY_TOLERANCE = 1e-10
+#: Eigenvalues that :func:`concurrence` treats as rounding noise, and the concurrence it
+#: reports as 0: separable pairs give up to about 1e-15 without it.
+_RANK_FLOOR = CONCURRENCE_FLOOR = 1e-12
 _SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
-_SPIN_FLIP = np.kron(_SIGMA_Y, _SIGMA_Y)
+_SPIN_FLIP = np.kron(_SIGMA_Y, _SIGMA_Y).real  # its imaginary parts are all 0
 
 
 def sweep_pattern(cfg: SchemeConfig, variable: str, grid: Sequence[float]) -> np.ndarray:
@@ -63,30 +66,26 @@ def visibility(phases: Sequence[float], samples: Sequence[float]) -> float:
 def _computational_matrix(rho: DensityMatrix) -> np.ndarray:
     """Embed a detector-label density matrix into the dense 0/1 port basis."""
     k = len(rho.kept_particles)
-    indices = port_columns(rho.basis, rho.kept_particles)
+    indices = port_columns(zip(*rho.basis), rho.kept_particles)
     dense = np.zeros((2**k, 2**k), dtype=complex)
     dense[np.ix_(indices, indices)] = rho.matrix
     return dense
 
 
 def concurrence(rho: DensityMatrix) -> float:
-    """Spin-flip concurrence of a two-particle detector-port density matrix.
-
-    Computes ``max(0, l1 - l2 - l3 - l4)`` from the decreasing square roots of
-    the eigenvalues of ``rho (Y x Y) rho* (Y x Y)``, with ports mapped
-    unprimed -> 0 and primed -> 1.
-    """
+    """Concurrence of a two-particle detector-port density matrix (ports mapped unprimed -> 0,
+    primed -> 1) in Wootters' form (PRL 80, 2245 (1998)): with ``rho = X X^dagger`` over the
+    eigenvalues above :data:`_RANK_FLOOR`, the l_i are the singular values of
+    ``X^T (Y x Y) X`` and ``C = max(0, l1 - l2 - ...)``; no root of rounding noise is taken.
+    A value at or below :data:`CONCURRENCE_FLOOR` is 0."""
     if len(rho.kept_particles) != 2:
         raise ValueError(f"concurrence needs exactly two particles, got {rho.kept_particles}")
-    matrix = _computational_matrix(rho)
-    flipped = _SPIN_FLIP @ matrix.conj() @ _SPIN_FLIP
-    # sqrt(rho) @ flipped @ sqrt(rho) is Hermitian and similar to rho @ flipped,
-    # so it has the same spectrum but admits a stable eigensolver.
-    evals, evecs = np.linalg.eigh(matrix)
-    root = (evecs * np.sqrt(np.clip(evals, 0.0, None))) @ evecs.conj().T
-    spectrum = np.linalg.eigvalsh(root @ flipped @ root)
-    roots = np.sort(np.sqrt(np.clip(spectrum, 0.0, None)))[::-1]
-    return float(max(0.0, roots[0] - roots[1] - roots[2] - roots[3]))
+    evals, evecs = np.linalg.eigh(_computational_matrix(rho))
+    kept = evals > _RANK_FLOOR
+    factor = evecs[:, kept] * np.sqrt(evals[kept])
+    lambdas = np.linalg.svd(factor.T @ _SPIN_FLIP @ factor, compute_uv=False)  # descending
+    value = lambdas[0] - lambdas[1:].sum()
+    return float(value) if value > CONCURRENCE_FLOOR else 0.0
 
 
 def one_to_rest_concurrence(psi: PureState, particle: int) -> float:
@@ -109,7 +108,7 @@ def three_tangle(psi: PureState) -> float:
         raise ValueError(f"three_tangle needs a three-particle state, got {psi.particle_count}")
     if not psi.is_normalized:
         raise NormalizationError("three_tangle needs a normalized state")
-    a = dict(zip(port_columns(psi.amplitudes, (1, 2, 3)), psi.amplitudes.values()))
+    a = dict(zip(port_columns(zip(*psi.amplitudes), (1, 2, 3)).tolist(), psi.amplitudes.values()))
     a000, a001, a010, a011, a100, a101, a110, a111 = (a.get(x, 0j) for x in range(8))
     p, q, r, s = a000 * a111, a001 * a110, a010 * a101, a100 * a011
     d1 = p * p + q * q + r * r + s * s

@@ -11,18 +11,12 @@ from __future__ import annotations
 import getopt
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Sequence
 
 import numpy as np
 
-from .analysis import (
-    concurrence,
-    fidelity,
-    pure_state_from_density,
-    three_tangle,
-    visibility,
-)
+from .analysis import concurrence, fidelity, three_tangle, visibility
 from .closed_form import (
     EntangledClass,
     EntangledClassId,
@@ -38,20 +32,14 @@ from .errors import (
 )
 from .interferometer import (
     MAX_PARTICLES,
+    DetectedState,
     SchemeConfig,
     _branch_phases,
     _branch_table,
     branch_probabilities,
-    conditional_detected_state,
     run_scheme,
 )
-from .states import (
-    PureState,
-    aligned_beam,
-    partial_trace,
-    pure_state_from_terms,
-    state_fidelity,
-)
+from .states import aligned_beam, pure_state_from_terms, state_fidelity
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -81,8 +69,6 @@ DEFAULT_ENTANGLE_GRID = tuple(k / 10 for k in range(11))
 MAX_SWEEP_STEPS = 4096
 #: Most probability cells a sweep may write: steps times 2^(N-M) outcomes.
 MAX_SWEEP_CELLS = 2**20
-#: Most terms per run that ``entangle`` accepts below full transmission.
-MAX_ENTANGLE_TERMS = 4096
 #: Most transmissions an ``entangle`` grid may list.
 MAX_ENTANGLE_GRID = 101
 #: Most scheme runs an oracle check may make: cases per (detected, aligned) pair.
@@ -189,8 +175,8 @@ def _parse_scheme(entries: _Entries) -> SchemeConfig:
     m = entries.take_as("scheme.m", int, _REQUIRED)
     if not 1 <= n <= MAX_PARTICLES:
         raise entries.error("scheme.n", f"scheme.n must lie in [1, {MAX_PARTICLES}]")
-    if not 0 <= m <= n:
-        raise entries.error("scheme.m", f"scheme.m must lie in [0, {n}]")
+    if not 0 <= m <= n:  # m = n is the SchemeConfig error below
+        raise entries.error("scheme.m", f"scheme.m must lie in [0, {n - 1}]")
     phi0 = entries.take_as("scheme.phi0", float, 0.0)
     phi = tuple(entries.take_as(f"scheme.phi.{j}", float, 0.0) for j in range(1, n - m + 1))
     aligned = range(n - m + 1, n + 1)
@@ -317,26 +303,10 @@ def parse_scenario(text: str) -> Scenario:
             raise entries.error("scheme.m", "entangle needs at least one aligned particle")
         if scheme.n_detected not in (2, 3):
             raise entries.error("scheme.n", "entangle supports two or three detected particles")
-        # below t = 1 every particle spans two labels (d/d' detected, a/v aligned), so
-        # the one scheme run behind each grid point's state stores 2^N terms
-        if min(entangle_grid) < 1.0 and 2**scheme.n_particles > MAX_ENTANGLE_TERMS:
-            raise entries.error(
-                "scheme.n",
-                f"a grid transmission below 1 makes the scheme run of each grid point "
-                f"store 2^{scheme.n_particles} terms, above the limit {MAX_ENTANGLE_TERMS}",
-            )
         if len(entangle_grid) > MAX_ENTANGLE_GRID:
             raise entries.error("entangle.grid", f"more than {MAX_ENTANGLE_GRID} grid points")
 
-    return Scenario(
-        command=command,
-        scheme=scheme,
-        sweep=sweep,
-        target=target,
-        entangle_grid=entangle_grid,
-        oracle=oracle,
-        output_path=output_path,
-    )
+    return Scenario(command, scheme, sweep, target, entangle_grid, oracle, output_path)
 
 
 # ---------------------------------------------------------------------------
@@ -387,39 +357,26 @@ def _cmd_sweep(scenario: Scenario, path: str) -> int:
     return EXIT_OK
 
 
-def _entangle_figures(
-    cfg: SchemeConfig, target: PureState | None, pattern: np.ndarray
-) -> tuple[float, float, float | None, float | None]:
-    """Visibility of ``pattern`` (one outcome's probabilities over ``_VISIBILITY_GRID``),
-    concurrence, fidelity to ``target`` and three-tangle of one configuration, in CSV
-    column order; ``None`` where a figure does not apply."""
-    pattern_visibility = visibility(_VISIBILITY_GRID, pattern)
-
-    rho = conditional_detected_state(run_scheme(cfg))
-    pair = concurrence(rho if cfg.n_detected == 2 else partial_trace(rho, (1, 2)))
-
-    tangle = None
-    if cfg.n_detected == 3:
-        try:
-            tangle = three_tangle(pure_state_from_density(rho))
-        except ValueError:
-            tangle = None  # mixed state: pure-state tangle undefined
-
-    overlap = fidelity(rho, target) if target is not None else None
-    return pattern_visibility, pair, overlap, tangle
-
-
 def _cmd_entangle(scenario: Scenario) -> list[str]:
     scheme = scenario.scheme
     name = scenario.target
     target = entangled_class_state(_target_class(name, scheme.n_detected)) if name else None
     phases = _branch_phases(scheme, f"theta.{scheme.n_detected + 1}", _VISIBILITY_GRID)
+    phase = complex(_branch_phases(scheme, None, ())[0, 0])  # e^(-i xi), the same at every t
     columns = ("visibility", "concurrence", "fidelity", "three_tangle")
     lines = ["transmission," + ",".join(columns)]
     for t in scenario.entangle_grid:
-        cfg = replace(scheme, transmission=(t,) * scheme.n_aligned)
-        table = _branch_table(scheme.n_detected, phases, cfg.transmission)
-        figures = _entangle_figures(cfg, target, table.marginal[:, 0])
+        transmission = (t,) * scheme.n_aligned
+        pattern = _branch_table(scheme.n_detected, phases, transmission).marginal[:, 0]
+        detected = DetectedState(scheme.n_detected, math.prod(transmission), phase)
+        rho = detected.density()
+        pure = detected.n_detected == 3 and detected.transmission == 1.0  # mixed below T = 1
+        figures = (
+            visibility(_VISIBILITY_GRID, pattern),
+            concurrence(rho if detected.n_detected == 2 else detected.pair()),
+            fidelity(rho, target) if target is not None else None,
+            three_tangle(detected.pure_state()) if pure else None,
+        )
         for name, value in zip(columns, figures):
             if value is not None and not -_FIGURE_SLACK <= value <= 1.0 + _FIGURE_SLACK:
                 raise ValidationError(f"{name} must lie in [0, 1], got {value}")
@@ -431,9 +388,7 @@ def _oracle_fidelity(cfg: SchemeConfig) -> float:
     state = run_scheme(cfg)
     predicted = predicted_output_state(cfg.n_detected, cfg.xi)
     tail = tuple(aligned_beam(l) for l in cfg.aligned_range)
-    full_prediction = pure_state_from_terms(
-        [(outcome + tail, amp) for outcome, amp in predicted.terms()]
-    )
+    full_prediction = pure_state_from_terms((o + tail, a) for o, a in predicted.terms())
     return state_fidelity(full_prediction, state)
 
 
@@ -447,13 +402,8 @@ def _cmd_oracle(scenario: Scenario, path: str, seed: int) -> int:
             worst = 0.0
             for _ in range(spec.cases):
                 phases = rng.uniform(0.0, math.tau, size=1 + n + m)
-                cfg = SchemeConfig(
-                    n + m,
-                    m,
-                    phi0=phases[0],
-                    phi=tuple(phases[1 : 1 + n]),
-                    theta=tuple(phases[1 + n :]),
-                )
+                phi, theta = tuple(phases[1 : 1 + n]), tuple(phases[1 + n :])
+                cfg = SchemeConfig(n + m, m, phi0=phases[0], phi=phi, theta=theta)
                 worst = max(worst, 1.0 - _oracle_fidelity(cfg))
             status = "pass" if worst <= ORACLE_TOLERANCE else "fail"
             all_pass = all_pass and status == "pass"

@@ -9,6 +9,7 @@ pure functions over immutable states and reject out-of-order application.
 from __future__ import annotations
 
 import cmath
+import functools
 import itertools
 import math
 from dataclasses import dataclass, replace
@@ -19,6 +20,7 @@ import numpy as np
 from .errors import ConfigError, StageOrderError, StructureError
 from .states import (
     AMPLITUDE_EPSILON,
+    MAX_DENSITY_DIM,
     DensityMatrix,
     LabelKind,
     Outcome,
@@ -28,6 +30,7 @@ from .states import (
     detector,
     loss,
     port_columns,
+    port_outcomes,
     primed_detector,
     primed_source_beam,
     pruned_state,
@@ -181,9 +184,7 @@ def build_two_source_state(cfg: SchemeConfig) -> PureState:
     unprimed = tuple(source_beam(j) for j in range(1, cfg.n_particles + 1))
     primed = tuple(primed_source_beam(j) for j in range(1, cfg.n_particles + 1))
     amp = math.sqrt(0.5)
-    return pure_state_from_terms(
-        [(unprimed, amp), (primed, amp * cmath.exp(1j * cfg.phi0))]
-    )
+    return pure_state_from_terms([(unprimed, amp), (primed, amp * cmath.exp(1j * cfg.phi0))])
 
 
 def _stage_error(label: PathLabel, particle: int, operation: str) -> Exception:
@@ -295,9 +296,7 @@ def _detected(columns: Iterable[tuple[PathLabel, ...]]) -> tuple[int, ...]:
         if kinds <= _DETECTOR_KINDS:
             detected.append(particle)
         elif kinds & _DETECTOR_KINDS:
-            raise StructureError(
-                f"particle {particle} mixes detector and non-detector labels"
-            )
+            raise StructureError(f"particle {particle} mixes detector and non-detector labels")
     return tuple(detected)
 
 
@@ -320,7 +319,7 @@ def outcome_probabilities(psi: PureState) -> BranchTable:
     if not detected:
         raise ValueError("state has no detected particles")
     count, cells = psi.term_count, 2 ** len(detected)
-    ports = np.array(port_columns(zip(*(columns[j - 1] for j in detected)), detected), np.intp)
+    ports = port_columns([columns[j - 1] for j in detected], detected)
     absorbed = np.zeros(count, dtype=bool)
     for particle, column in enumerate(columns, 1):
         if particle not in detected:
@@ -374,6 +373,53 @@ def _branch_table(n: int, phases: np.ndarray, transmission: Sequence[float]) -> 
     loss_free = weight[:, [x.bit_count() & 1 for x in range(2**n)]]
     lost = (1.0 - total * total) / 2
     return BranchTable(loss_free, loss_free + lost * 0.5**n, lost)
+
+
+class DetectedState(NamedTuple):
+    """The conditional state of n detected particles from n, T and e^(-i xi) alone (Krenn,
+    Hochrainer, Lahiri, Zeilinger, PRL 118, 080401 (2017)): ``rho = (|U><U| + |P><P|
+    + T (e^(-i xi) |U><P| + h.c.))/2``, where ``U = u^n`` and ``P = i^n p^n`` for the
+    orthogonal ``u, p = (|0> +- i|1>)/sqrt(2)`` are the U and P of :func:`branch_probabilities`."""
+
+    n_detected: int
+    transmission: float
+    phase: complex
+
+    def density(self) -> DensityMatrix:
+        """rho over the port basis of particles 1..n; ValueError past ``MAX_DENSITY_DIM``."""
+        n = self.n_detected
+        if 2**n > MAX_DENSITY_DIM:
+            raise ValueError(f"a density matrix of {n} particles exceeds {MAX_DENSITY_DIM}")
+        basis, (u, p) = _port_branches(n)
+        cross = self.transmission * self.phase * np.outer(u, p.conj())
+        matrix = (np.outer(u, u.conj()) + np.outer(p, p.conj()) + cross + cross.conj().T) / 2
+        return DensityMatrix(tuple(range(1, n + 1)), basis, matrix)
+
+    def pair(self) -> DensityMatrix:
+        """rho on particles 1 and 2 for n >= 3: (|uu><uu| + |pp><pp|)/2, the T = 0 state of
+        two, whatever T and xi, as U and P are orthogonal on every traced particle."""
+        if self.n_detected < 3:
+            raise ValueError(f"a pair of {self.n_detected} particles is the whole state")
+        return _separable_pair()
+
+    def pure_state(self) -> PureState:
+        """(U + e^(i xi) P)/sqrt(2) at T = 1; ValueError below, where rho is mixed."""
+        if self.transmission != 1.0:
+            raise ValueError(f"the detected state is mixed at T = {self.transmission}")
+        basis, (u, p) = _port_branches(self.n_detected)
+        return pure_state_from_terms(zip(basis, (u + self.phase.conjugate() * p) * math.sqrt(0.5)))
+
+
+@functools.cache
+def _port_branches(n: int) -> tuple[tuple[Outcome, ...], np.ndarray]:
+    """The port basis of particles 1..n and U, P over it, the rows of one read-only array."""
+    r = np.array([x.bit_count() for x in range(2**n)])
+    branches = np.array((1, 1j, -1, -1j))[np.stack([r, n - r]) % 4] * 0.5 ** (n / 2)
+    branches.setflags(write=False)
+    return port_outcomes(range(1, n + 1)), branches
+
+
+_separable_pair = functools.cache(lambda: DetectedState(2, 0.0, 1.0).density())
 
 
 def joint_probability(psi: PureState, outcome: DetectionOutcome) -> float:

@@ -175,15 +175,21 @@ def port_outcomes(particles: Iterable[int]) -> tuple[Outcome, ...]:
     return tuple(itertools.product(*((detector(j), primed_detector(j)) for j in particles)))
 
 
-def port_columns(outcomes: Iterable[Outcome], particles: Sequence[int]) -> list[int]:
-    """The column of each of ``outcomes`` among :func:`port_outcomes` of ``particles``;
-    ValueError for an outcome that is not one of them."""
-    column = {outcome: x for x, outcome in enumerate(port_outcomes(particles))}
-    try:
-        return [column[outcome] for outcome in outcomes]
-    except KeyError as error:
-        outcome = format_outcome(error.args[0])
+def port_columns(slots: Iterable[Sequence[PathLabel]], particles: Sequence[int]) -> np.ndarray:
+    """The column among :func:`port_outcomes` of ``particles`` of each outcome, given by slot
+    as ``zip(*outcomes)`` gives them: slot s must carry particle ``particles[s]``'s unprimed
+    (bit 0) or primed (bit 1) detector label, the first slot the highest bit; ValueError
+    for an outcome that does not."""
+    slots, ports = list(slots), [{detector(j): 0, primed_detector(j): 1} for j in particles]
+    columns = np.zeros(len(slots[0]) if slots else 0, np.intp)
+    try:  # a strict zip raises ValueError when the slots are not one per particle
+        for bit, labels in zip(ports, slots, strict=True):
+            columns = 2 * columns + np.fromiter(map(bit.__getitem__, labels), np.intp, len(labels))
+    except (KeyError, ValueError):
+        fits = lambda o: len(o) == len(ports) and all(map(dict.__contains__, ports, o))
+        outcome = format_outcome(next((o for o in zip(*slots) if not fits(o)), ()))
         raise ValueError(f"outcome {outcome} cannot be mapped to a detector port") from None
+    return columns
 
 
 def format_outcome(outcome: Outcome) -> str:
@@ -289,9 +295,7 @@ def pruned_state(particle_count: int, accumulated: dict[Outcome, complex]) -> Pu
 def inner_product(a: PureState, b: PureState) -> complex:
     """<a|b> in the orthonormal outcome basis; conjugate-linear in ``a``."""
     if a.particle_count != b.particle_count:
-        raise StructureError(
-            f"particle counts differ: {a.particle_count} vs {b.particle_count}"
-        )
+        raise StructureError(f"particle counts differ: {a.particle_count} vs {b.particle_count}")
     if a.term_count > b.term_count:
         return inner_product(b, a).conjugate()
     return sum(amp.conjugate() * b.amplitude(outcome) for outcome, amp in a.amplitudes.items())

@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import cmath
 import inspect
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pisim import (
@@ -42,8 +43,9 @@ from pisim import (
     to_density,
     visibility,
 )
-from pisim.analysis import _computational_matrix
+from pisim.analysis import CONCURRENCE_FLOOR, _computational_matrix
 from pisim.interferometer import branch_probabilities
+from pisim.states import port_outcomes
 from conftest import case_i, random_detector_state
 
 FULL_TURN = [k * math.tau / 64 for k in range(64)]
@@ -213,6 +215,66 @@ class TestVisibility:
         total_t = math.prod(cfg.transmission)
         for x in range(pattern.shape[1]):
             assert abs(visibility(grid, pattern[:, x]) - total_t) <= 1e-9
+
+
+def port_density(matrix: np.ndarray) -> DensityMatrix:
+    return DensityMatrix((1, 2), port_outcomes((1, 2)), matrix)
+
+
+#: Bell states in the port basis 00, 01, 10, 11: Phi+, Phi-, Psi+, Psi-.
+BELL = np.array([[1, 0, 0, 1], [1, 0, 0, -1], [0, 1, 1, 0], [0, 1, -1, 0]]) * math.sqrt(0.5)
+UNIT = st.floats(-1.0, 1.0)
+
+
+def local_unitary(a: float, b: float, c: float) -> np.ndarray:
+    return np.array(
+        [[cmath.exp(1j * b) * math.cos(a), cmath.exp(1j * c) * math.sin(a)],
+         [-cmath.exp(-1j * c) * math.sin(a), cmath.exp(-1j * b) * math.cos(a)]]
+    )  # fmt: skip
+
+
+class TestConcurrenceProperties:
+    """Wootters' decomposition form against closed forms, at every rank."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(parts=st.lists(st.tuples(UNIT, UNIT), min_size=4, max_size=4))
+    def test_pure_state_is_twice_its_determinant(self, parts):
+        amplitudes = np.array([complex(x, y) for x, y in parts])
+        assume(np.linalg.norm(amplitudes) > 0.1)
+        a00, a01, a10, a11 = amplitudes = amplitudes / np.linalg.norm(amplitudes)
+        value = concurrence(port_density(np.outer(amplitudes, amplitudes.conj())))
+        assert abs(value - 2 * abs(a00 * a11 - a01 * a10)) <= 1e-12
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        weights=st.lists(st.sampled_from([0.0]) | st.floats(0.01, 1.0), min_size=4, max_size=4),
+        angles=st.lists(st.floats(0.0, 7.0), min_size=6, max_size=6),
+    )
+    def test_bell_diagonal_state_under_local_unitaries(self, weights, angles):
+        # sum_k w_k |B_k><B_k| has C = max(0, 2 max w - 1) (rank = the nonzero weights),
+        # and a local unitary leaves C as it is
+        assume(sum(weights) > 0)
+        weights = np.array(weights) / sum(weights)
+        rotate = np.kron(local_unitary(*angles[:3]), local_unitary(*angles[3:]))
+        states = BELL @ rotate.T  # row k: rotate @ B_k
+        matrix = (states.T * weights) @ states.conj()
+        value = concurrence(port_density(matrix))
+        assert abs(value - max(0.0, 2 * weights.max() - 1)) <= 1e-12
+
+    def test_rank_two_state_takes_no_root_of_rounding(self):
+        # the Psi+ golden row at t = 0.2: the two zero eigenvalues come out near 1e-17,
+        # whose roots (about 5e-9) the spin-flip eigenvalue form subtracted
+        rho = conditional_detected_state(run_scheme(SchemeConfig(3, 1, transmission=(0.2,))))
+        assert concurrence(rho) == pytest.approx(0.2, abs=1e-15)
+
+    def test_separable_pairs_are_exactly_zero(self):
+        # every pair of three detected particles is separable; rounding leaves up to
+        # about 3e-16 on 25 of these 40 engine states, which the floor reports as 0
+        assert CONCURRENCE_FLOOR == 1e-12
+        for k in range(40):
+            cfg = SchemeConfig(4, 1, phi0=0.1 * k, transmission=(0.05 * (k % 20),))
+            pair = partial_trace(conditional_detected_state(run_scheme(cfg)), (1, 2))
+            assert concurrence(pair) == 0.0
 
 
 class TestConcurrence:

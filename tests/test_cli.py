@@ -43,7 +43,6 @@ from pisim.cli import (
     EXIT_OK,
     HELP,
     MAX_ENTANGLE_GRID,
-    MAX_ENTANGLE_TERMS,
     MAX_ORACLE_RUNS,
     MAX_SWEEP_CELLS,
     MAX_SWEEP_STEPS,
@@ -138,13 +137,12 @@ class TestParseScenario:
         assert info.value.line == len(CASE_I_SWEEP.splitlines()) + 2
 
     @pytest.mark.parametrize("grid", ["entangle.grid = 1,0.5\n", ""])
-    def test_entangle_beyond_density_cap_rejected(self, grid):
-        # 2^13 basis states once an attenuator absorbs; the default grid has t < 1
+    def test_entangle_below_full_transmission_has_no_term_bound(self, grid):
+        # the detected state comes from (n, T, xi), never from a scheme run of 2^13 terms;
+        # the default grid has t < 1
         text = "command = entangle\nscheme.n = 13\nscheme.m = 10\n" + grid
-        with pytest.raises(ScenarioParseError) as info:
-            parse_scenario(text)
-        assert info.value.key == "scheme.n"
-        assert info.value.line == 2
+        expected = (1.0, 0.5) if grid else DEFAULT_ENTANGLE_GRID
+        assert parse_scenario(text).entangle_grid == expected
 
     def test_entangle_at_full_transmission_skips_density_cap(self):
         text = "command = entangle\nscheme.n = 13\nscheme.m = 10\nentangle.grid = 1\n"
@@ -354,8 +352,11 @@ class TestRequiredKeysAndBounds:
         [
             (0, 0, "scheme.n", 3, "scheme.n must lie in [1, 16]"),
             (17, 1, "scheme.n", 3, "scheme.n must lie in [1, 16]"),
-            (3, -1, "scheme.m", 4, "scheme.m must lie in [0, 3]"),
-            (3, 4, "scheme.m", 4, "scheme.m must lie in [0, 3]"),
+            (3, -1, "scheme.m", 4, "scheme.m must lie in [0, 2]"),
+            (3, 4, "scheme.m", 4, "scheme.m must lie in [0, 2]"),
+            (3, 3, "scheme.m", 4, "a scheme needs a detected particle (n_aligned < n_particles)"),
+            (1, 2, "scheme.m", 4, "scheme.m must lie in [0, 0]"),
+            (1, 1, "scheme.m", 4, "a scheme needs a detected particle (n_aligned < n_particles)"),
         ],
     )
     def test_scheme_size_bounds_name_key_and_line(self, n, m, key, line, message):
@@ -503,8 +504,7 @@ class TestLargestRun:
 
 
 class TestLargestEntangle:
-    # Below t = 1 the parser admits N = 12, whose scheme run stores 2^12 =
-    # MAX_ENTANGLE_TERMS terms; at t = 1 alone it admits N = 16.
+    # The detected state is built from (n, T, xi), so N = 16 runs at any grid point.
     PHASES = {"phi0": 0.4, "phi.1": -1.3, "phi.2": 2.2}
 
     @pytest.mark.parametrize(
@@ -514,11 +514,12 @@ class TestLargestEntangle:
             (12, 9, (1.0, 0.9), "GHZ3", ghz_class_three()),
             (16, 14, (1.0,), "Phi-", bell_phi_minus()),
             (16, 13, (1.0,), "F3", entangled_class_state(EntangledClass(EntangledClassId.F3, 3))),
+            (16, 14, (0.9, 1.0), "Psi+", bell_psi_plus()),
+            (16, 13, (1.0, 0.5), "GHZ3", ghz_class_three()),
         ],
-        ids=["12-10", "12-9", "16-14", "16-13"],
+        ids=["12-10", "12-9", "16-14", "16-13", "16-14-lossy", "16-13-lossy"],
     )
     def test_rows_match_closed_forms(self, tmp_path, n, m, grid, target, state):
-        assert min(grid) == 1.0 or 2**n == MAX_ENTANGLE_TERMS
         lines = [f"command = entangle\nscheme.n = {n}\nscheme.m = {m}\ntarget = {target}"]
         lines += [f"scheme.{key} = {value}" for key, value in self.PHASES.items()]
         lines += [f"scheme.theta.{n} = 0.8", "entangle.grid = " + ",".join(map(str, grid))]
@@ -534,9 +535,9 @@ class TestLargestEntangle:
             total_t = t**m
             assert abs(float(vis) - total_t) <= 1e-9
             if detected == 2:
-                assert abs(float(conc) - total_t) <= 1e-6
+                assert abs(float(conc) - total_t) <= 1e-11
             else:
-                assert float(conc) <= 1e-6
+                assert conc == "0"  # every pair of three detected particles is separable
             # rho = |A><A| + w |U><U|: A(x) = (T i^r + e^(i xi) i^(n-r)) / 2^((n+1)/2),
             # U(x) = i^r / 2^(n/2) at r primed ports, w = (1 - T^2) / 2
             overlap_a = overlap_u = 0j
@@ -721,7 +722,7 @@ class TestNumericalFailures:
         def fail(_state):
             raise error("injected failure")
 
-        monkeypatch.setattr(cli, "conditional_detected_state", fail)
+        monkeypatch.setattr(cli.DetectedState, "density", fail)
         text = "command = entangle\nscheme.n = 3\nscheme.m = 1\nentangle.grid = 1\n"
         out = tmp_path / "ent.csv"
         assert execute(parse_scenario(text), out_path=str(out)) == EXIT_NUMERIC
@@ -734,7 +735,7 @@ class TestNumericalFailures:
             basis = ((detector(1), detector(2)), (primed_detector(1), primed_detector(2)))
             return DensityMatrix((1, 2), basis, np.full((2, 2), math.nan))
 
-        monkeypatch.setattr(cli, "conditional_detected_state", nan_density)
+        monkeypatch.setattr(cli.DetectedState, "density", nan_density)
         text = "command = entangle\nscheme.n = 3\nscheme.m = 1\nentangle.grid = 1\n"
         out = tmp_path / "ent.csv"
         assert execute(parse_scenario(text), out_path=str(out)) == EXIT_NUMERIC
@@ -788,6 +789,18 @@ class TestGoldenOutputs:
         out = tmp_path / "out.csv"
         assert main([command, "--scenario", str(scenario), "--out", str(out)]) == EXIT_OK
         assert out.read_bytes() == scenario.with_suffix(".csv").read_bytes()
+
+    @pytest.mark.parametrize(
+        "scenario", sorted(GOLDEN.glob("entangle_*.scenario")), ids=lambda p: p.stem
+    )
+    def test_concurrence_column_is_the_closed_form_as_printed(self, scenario):
+        # T = t^m for two detected particles, 0 for three: each pair of three is separable
+        scheme = parse_scenario(scenario.read_text()).scheme
+        header, rows = read_rows(scenario.with_suffix(".csv"))
+        assert header[2] == "concurrence" and rows
+        for row in rows:
+            expected = float(row[0]) ** scheme.n_aligned if scheme.n_detected == 2 else 0.0
+            assert row[2] == format(expected, ".12g")
 
 
 class TestOracleCommand:
@@ -1323,8 +1336,7 @@ def _within_bounds(scenario) -> bool:
         return spec.cases * spec.max_detected * (spec.max_aligned + 1) <= MAX_ORACLE_RUNS
     if scenario.command == "entangle":
         grid = scenario.entangle_grid  # the parser fills in the default grid
-        terms_ok = min(grid) == 1.0 or 2**scheme.n_particles <= MAX_ENTANGLE_TERMS
-        return len(grid) <= MAX_ENTANGLE_GRID and terms_ok and scheme.n_detected in (2, 3)
+        return len(grid) <= MAX_ENTANGLE_GRID and scheme.n_detected in (2, 3)
     return True
 
 

@@ -43,7 +43,10 @@ from pisim import (
     source_beam,
     state_fidelity,
 )
-from pisim.interferometer import branch_probabilities
+from pisim.analysis import pure_state_from_density, three_tangle
+from pisim.closed_form import predicted_output_state
+from pisim.interferometer import DetectedState, branch_probabilities
+from pisim.states import MAX_DENSITY_DIM, port_columns, port_outcomes
 from conftest import assert_states_close, attenuated_coincidence, case_i
 
 ROOT_HALF = math.sqrt(0.5)
@@ -628,6 +631,84 @@ class TestConditionalDetectedState:
         assert rho.kept_particles == tuple(range(1, 9))
         assert rho.dim == 256
         assert rho.matrix.trace().real == pytest.approx(1.0, abs=1e-12)
+
+
+def port_matrix(rho) -> np.ndarray:
+    """``rho`` over the whole port basis of its particles, zero outside its own basis."""
+    k = len(rho.kept_particles)
+    columns = port_columns(zip(*rho.basis), rho.kept_particles)
+    dense = np.zeros((2**k, 2**k), dtype=complex)
+    dense[np.ix_(columns, columns)] = rho.matrix
+    return dense
+
+
+#: t = 0 and 1 exactly, and any t.
+FORM_TRANSMISSIONS = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+#: Interference phases at which one parity of outcomes cancels exactly at T = 1.
+FORM_CANCELLING_XI = (0.0, math.pi / 2, math.pi, 3 * math.pi / 2)
+
+
+@st.composite
+def form_schemes(draw) -> SchemeConfig:
+    """Schemes of 1-6 detected and 0-2 aligned particles; one in four at a cancelling
+    phase, with every other phase zero."""
+    n, m = draw(st.integers(1, 6)), draw(st.integers(0, 2))
+    trans = tuple(draw(FORM_TRANSMISSIONS) for _ in range(m))
+    if draw(st.integers(0, 3)) == 0:
+        return SchemeConfig(n + m, m, phi0=draw(st.sampled_from(FORM_CANCELLING_XI)), transmission=trans)
+    phases = st.floats(-7.0, 7.0)
+    phi, theta = tuple(draw(phases) for _ in range(n)), tuple(draw(phases) for _ in range(m))
+    return SchemeConfig(n + m, m, phi0=draw(phases), phi=phi, theta=theta, transmission=trans)
+
+
+def detected_state(cfg: SchemeConfig) -> DetectedState:
+    return DetectedState(cfg.n_detected, math.prod(cfg.transmission), cmath.exp(-1j * cfg.xi))
+
+
+class TestDetectedState:
+    """The two-branch form of the detected state against the sparse engine and the
+    closed form: (n, T, e^(-i xi)) fixes rho."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(cfg=form_schemes())
+    def test_three_routes_agree(self, cfg):
+        # closed form: rho = (1 + T)/2 |psi(xi)><psi(xi)| + (1 - T)/2 |psi(xi + pi)><psi(xi + pi)|
+        total = math.prod(cfg.transmission)
+        predicted = density_from_mixture([
+            ((1 + total) / 2, predicted_output_state(cfg.n_detected, cfg.xi)),
+            ((1 - total) / 2, predicted_output_state(cfg.n_detected, cfg.xi + math.pi)),
+        ])  # fmt: skip
+        form = detected_state(cfg).density()
+        engine = conditional_detected_state(run_scheme(cfg))
+        assert form.kept_particles == engine.kept_particles == tuple(cfg.detected_range)
+        assert form.basis == port_outcomes(cfg.detected_range)
+        assert np.abs(form.matrix - port_matrix(engine)).max() <= 1e-12
+        assert np.abs(form.matrix - port_matrix(predicted)).max() <= 1e-12
+
+    @settings(max_examples=100, deadline=None)
+    @given(cfg=form_schemes().filter(lambda cfg: cfg.n_detected >= 3))
+    def test_pair_is_the_engine_partial_trace(self, cfg):
+        engine = partial_trace(conditional_detected_state(run_scheme(cfg)), (1, 2))
+        pair = detected_state(cfg).pair()
+        assert pair.kept_particles == (1, 2)
+        assert np.abs(pair.matrix - port_matrix(engine)).max() <= 1e-12
+
+    @pytest.mark.parametrize("xi", [0.0, 0.7, math.pi / 2, math.pi])
+    def test_pure_state_at_full_transmission(self, xi):
+        cfg = SchemeConfig(4, 1, phi0=xi)
+        pure = detected_state(cfg).pure_state()
+        engine = conditional_detected_state(run_scheme(cfg))
+        assert state_fidelity(pure, pure_state_from_density(engine)) == pytest.approx(1.0, abs=1e-12)
+        assert three_tangle(pure) == pytest.approx(1.0, abs=1e-12)
+
+    def test_what_is_not_built(self):
+        with pytest.raises(ValueError, match="mixed at T = 0.5"):
+            DetectedState(3, 0.5, 1.0).pure_state()
+        with pytest.raises(ValueError, match="a pair of 2 particles is the whole state"):
+            DetectedState(2, 1.0, 1.0).pair()
+        too_many = MAX_DENSITY_DIM.bit_length()  # 2^13 > 4096
+        with pytest.raises(ValueError, match=f"of {too_many} particles exceeds {MAX_DENSITY_DIM}"):
+            DetectedState(too_many, 1.0, 1.0).density()
 
 
 class TestStageInvariants:
