@@ -9,7 +9,7 @@ import numpy as np
 
 from .errors import NormalizationError, VisibilityUndefinedError
 from .interferometer import SchemeConfig, outcome_probabilities, run_scheme
-from .states import DensityMatrix, PureState, port_columns, pure_state_from_terms, to_density
+from .states import DensityMatrix, PureState, port_columns, pure_state_from_terms
 
 _PROBABILITY_SLACK = 1e-9
 #: Largest subleading eigenvalue :func:`pure_state_from_density` accepts.
@@ -25,7 +25,8 @@ def sweep_pattern(cfg: SchemeConfig, variable: str, grid: Sequence[float]) -> np
     """Loss-inclusive probabilities of every coincidence outcome along a phase sweep,
     from one scheme run per phase of ``variable`` (as in :meth:`SchemeConfig.replace_phase`):
     one row per ``grid`` value, column x the outcome ``port_outcomes(range(1, n + 1))[x]``,
-    as in :func:`branch_probabilities`.  An unknown variable is rejected whatever the grid."""
+    as in ``detected_state(cfg, variable, grid).table().marginal`` of the two-branch form.  An
+    unknown variable is rejected whatever the grid."""
     cfg.phase_slot(variable)
     states = (run_scheme(cfg.replace_phase(variable, float(v))) for v in grid)
     rows = [outcome_probabilities(state).marginal[0] for state in states]
@@ -89,11 +90,22 @@ def concurrence(rho: DensityMatrix) -> float:
 
 
 def one_to_rest_concurrence(psi: PureState, particle: int) -> float:
-    """Concurrence of one particle with the rest: ``2 sqrt(det rho_k)``."""
-    reduced = to_density(psi, (particle,))
-    matrix = _computational_matrix(reduced)
-    determinant = np.linalg.det(matrix).real
-    return 2.0 * math.sqrt(max(0.0, determinant))
+    """Concurrence of one particle with the rest, ``2 s1 s2`` from the singular values of its
+    2 x k amplitude matrix (rows its port bits, columns the other particles' distinct label
+    tuples, at least two): no root of rounding noise; at or below CONCURRENCE_FLOOR it is 0."""
+    if not psi.is_normalized:
+        raise NormalizationError(f"state norm is {psi.norm():.15g}, expected 1")
+    if particle not in range(1, psi.particle_count + 1):
+        raise ValueError(f"particles {[particle]} are not part of this state")
+    slot = particle - 1
+    rows = port_columns([[outcome[slot] for outcome in psi.amplitudes]], (particle,))
+    rest: dict[tuple, int] = {}
+    columns = [rest.setdefault(o[:slot] + o[slot + 1 :], len(rest)) for o in psi.amplitudes]
+    matrix = np.zeros((2, max(2, len(rest))), dtype=complex)
+    matrix[rows, columns] = list(psi.amplitudes.values())
+    s1, s2 = np.linalg.svd(matrix, compute_uv=False)
+    value = 2.0 * s1 * s2
+    return float(value) if value > CONCURRENCE_FLOOR else 0.0
 
 
 def three_tangle(psi: PureState) -> float:

@@ -30,15 +30,7 @@ from .errors import (
     ScenarioParseError,
     ValidationError,
 )
-from .interferometer import (
-    MAX_PARTICLES,
-    DetectedState,
-    SchemeConfig,
-    _branch_phases,
-    _branch_table,
-    branch_probabilities,
-    run_scheme,
-)
+from .interferometer import MAX_PARTICLES, SchemeConfig, detected_state, run_scheme
 from .states import aligned_beam, pure_state_from_terms, state_fidelity
 
 EXIT_OK = 0
@@ -329,7 +321,7 @@ def _fmt_all(values: Sequence[float]) -> list[str]:
 
 
 def _cmd_run(scenario: Scenario, path: str) -> int:
-    table = branch_probabilities(scenario.scheme)
+    table = detected_state(scenario.scheme).table()
     row = table.loss_free[0].tolist()
     if not _row_sum_ok(row, table.lost):
         print("pisim: outcome probabilities do not sum to 1", file=sys.stderr)
@@ -346,7 +338,7 @@ def _cmd_sweep(scenario: Scenario, path: str) -> int:
     lines = ["phase," + ",".join(f"P_{x:0{n}b}" for x in range(2**n)) + ",P_loss"]
     width = (spec.stop - spec.start) / spec.steps
     grid = [spec.start + k * width for k in range(spec.steps)]
-    table = branch_probabilities(scheme, spec.variable, grid)
+    table = detected_state(scheme, spec.variable, grid).table()
     for phase, values in zip(grid, table.loss_free):
         row = values.tolist()
         if not _row_sum_ok(row, table.lost):
@@ -359,23 +351,22 @@ def _cmd_sweep(scenario: Scenario, path: str) -> int:
 
 def _cmd_entangle(scenario: Scenario) -> list[str]:
     scheme = scenario.scheme
-    name = scenario.target
-    target = entangled_class_state(_target_class(name, scheme.n_detected)) if name else None
-    phases = _branch_phases(scheme, f"theta.{scheme.n_detected + 1}", _VISIBILITY_GRID)
-    phase = complex(_branch_phases(scheme, None, ())[0, 0])  # e^(-i xi), the same at every t
+    n, name = scheme.n_detected, scenario.target
+    target = entangled_class_state(_target_class(name, n)) if name else None
+    sweep = detected_state(scheme, f"theta.{n + 1}", _VISIBILITY_GRID)
+    state = detected_state(scheme)  # e^(-i xi) does not depend on t
     columns = ("visibility", "concurrence", "fidelity", "three_tangle")
     lines = ["transmission," + ",".join(columns)]
     for t in scenario.entangle_grid:
-        transmission = (t,) * scheme.n_aligned
-        pattern = _branch_table(scheme.n_detected, phases, transmission).marginal[:, 0]
-        detected = DetectedState(scheme.n_detected, math.prod(transmission), phase)
+        total = math.prod((t,) * scheme.n_aligned)
+        pattern = sweep._replace(transmission=total).table().marginal[:, 0]
+        detected = state._replace(transmission=total)
         rho = detected.density()
-        pure = detected.n_detected == 3 and detected.transmission == 1.0  # mixed below T = 1
         figures = (
             visibility(_VISIBILITY_GRID, pattern),
-            concurrence(rho if detected.n_detected == 2 else detected.pair()),
+            concurrence(rho if n == 2 else detected.pair()),
             fidelity(rho, target) if target is not None else None,
-            three_tangle(detected.pure_state()) if pure else None,
+            three_tangle(detected.pure_state()) if n == 3 and total == 1.0 else None,
         )
         for name, value in zip(columns, figures):
             if value is not None and not -_FIGURE_SLACK <= value <= 1.0 + _FIGURE_SLACK:

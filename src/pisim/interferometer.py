@@ -332,58 +332,30 @@ def outcome_probabilities(psi: PureState) -> BranchTable:
     return BranchTable(loss_free[None, :cells], marginal[None], float(loss_free[cells]))
 
 
-def branch_probabilities(
-    cfg: SchemeConfig, variable: str | None = None, grid: Sequence[float] = ()
-) -> BranchTable:
-    """All coincidence probabilities of ``cfg`` from its two emission branches.
-
-    The output is ``A = (T e^{i sum theta} U + e^{i(phi0 + sum phi)} P)/sqrt(2)`` with
-    ``U = 2^(-n/2) i^r``, ``P = 2^(-n/2) i^(n-r)`` at ``r`` primed ports and ``T = prod t``,
-    plus ``(1 - T^2)/2 |U|^2`` lost; ``|A| <= AMPLITUDE_EPSILON`` cancels, as in the engine.
-    One row per ``grid`` value of the phase ``variable``, or for ``cfg``."""
-    return _branch_table(cfg.n_detected, _branch_phases(cfg, variable, grid), cfg.transmission)
-
-
-def _branch_phases(cfg: SchemeConfig, variable: str | None, grid: Sequence[float]) -> np.ndarray:
-    """The column of e^(-i xi) of :func:`branch_probabilities`, one row per phase value."""
-    row = [cfg.phi0, *cfg.phi, *(-t for t in cfg.theta)]  # xi is the sum of the row
-    slot, values = 0, [cfg.phi0]
-    if variable is not None:
-        slot = cfg.phase_slot(variable)  # theta.<l> enters xi with a minus sign
-        values = [-v if slot > cfg.n_detected else v for v in grid]
-    phases = []  # e^(-i xi), xi summed exactly as hi + lo: near a zero |A| is as exact as xi
-    for value in values:
-        row[slot] = value
-        try:
-            hi = math.fsum(row)
-            lo = math.fsum(itertools.chain(row, (-hi,)))
-            phases.append(cmath.exp(-1j * hi) * cmath.exp(-1j * lo))
-        except OverflowError:  # a partial sum past the float range: one e^(-i phase) each
-            phases.append(math.prod(cmath.exp(-1j * v) for v in row))
-    return np.array(phases)[:, None]
-
-
-def _branch_table(n: int, phases: np.ndarray, transmission: Sequence[float]) -> BranchTable:
-    """:func:`branch_probabilities` of n detected particles from its phase column."""
-    total = math.prod(transmission)
-    # |A|^2 = |1 + T e^(-i xi) i^(2r-n)|^2 / 2^(n+1), r even, odd: flat in xi at T = 0
-    turn = (1, -1j, -1, 1j)[n % 4] * np.array([1.0, -1.0])
-    weight = np.abs(1.0 + total * phases * turn) ** 2 * 0.5 ** (n + 1)
-    weight[weight <= AMPLITUDE_EPSILON**2] = 0.0
-    loss_free = weight[:, [x.bit_count() & 1 for x in range(2**n)]]
-    lost = (1.0 - total * total) / 2
-    return BranchTable(loss_free, loss_free + lost * 0.5**n, lost)
-
-
 class DetectedState(NamedTuple):
     """The conditional state of n detected particles from n, T and e^(-i xi) alone (Krenn,
     Hochrainer, Lahiri, Zeilinger, PRL 118, 080401 (2017)): ``rho = (|U><U| + |P><P|
     + T (e^(-i xi) |U><P| + h.c.))/2``, where ``U = u^n`` and ``P = i^n p^n`` for the
-    orthogonal ``u, p = (|0> +- i|1>)/sqrt(2)`` are the U and P of :func:`branch_probabilities`."""
+    orthogonal ``u, p = (|0> +- i|1>)/sqrt(2)``.  ``phase`` is the column of e^(-i xi), one
+    row per phase value; :meth:`density` and :meth:`pure_state` read a one-row column."""
 
     n_detected: int
     transmission: float
-    phase: complex
+    phase: np.ndarray
+
+    def table(self) -> BranchTable:
+        """All coincidence probabilities, one row per phase value.  The output is
+        ``A = (T e^{i sum theta} U + e^{i(phi0 + sum phi)} P)/sqrt(2)`` with ``U = 2^(-n/2) i^r``,
+        ``P = 2^(-n/2) i^(n-r)`` at ``r`` primed ports, plus ``(1 - T^2)/2 |U|^2`` lost;
+        ``|A| <= AMPLITUDE_EPSILON`` cancels, as in the engine."""
+        n, total = self.n_detected, self.transmission
+        # |A|^2 = |1 + T e^(-i xi) i^(2r-n)|^2 / 2^(n+1), r even, odd: flat in xi at T = 0
+        turn = (1, -1j, -1, 1j)[n % 4] * np.array([1.0, -1.0])
+        weight = np.abs(1.0 + total * self.phase * turn) ** 2 * 0.5 ** (n + 1)
+        weight[weight <= AMPLITUDE_EPSILON**2] = 0.0
+        loss_free = weight[:, [x.bit_count() & 1 for x in range(2**n)]]
+        lost = (1.0 - total * total) / 2
+        return BranchTable(loss_free, loss_free + lost * 0.5**n, lost)
 
     def density(self) -> DensityMatrix:
         """rho over the port basis of particles 1..n; ValueError past ``MAX_DENSITY_DIM``."""
@@ -391,7 +363,7 @@ class DetectedState(NamedTuple):
         if 2**n > MAX_DENSITY_DIM:
             raise ValueError(f"a density matrix of {n} particles exceeds {MAX_DENSITY_DIM}")
         basis, (u, p) = _port_branches(n)
-        cross = self.transmission * self.phase * np.outer(u, p.conj())
+        cross = self.transmission * self.phase.item() * np.outer(u, p.conj())
         matrix = (np.outer(u, u.conj()) + np.outer(p, p.conj()) + cross + cross.conj().T) / 2
         return DensityMatrix(tuple(range(1, n + 1)), basis, matrix)
 
@@ -407,7 +379,30 @@ class DetectedState(NamedTuple):
         if self.transmission != 1.0:
             raise ValueError(f"the detected state is mixed at T = {self.transmission}")
         basis, (u, p) = _port_branches(self.n_detected)
-        return pure_state_from_terms(zip(basis, (u + self.phase.conjugate() * p) * math.sqrt(0.5)))
+        turned = self.phase.item().conjugate() * p
+        return pure_state_from_terms(zip(basis, (u + turned) * math.sqrt(0.5)))
+
+
+def detected_state(
+    cfg: SchemeConfig, variable: str | None = None, grid: Sequence[float] = ()
+) -> DetectedState:
+    """The :class:`DetectedState` of ``cfg``, T = prod t: one row of e^(-i xi) per ``grid``
+    value of the phase ``variable`` (see :meth:`SchemeConfig.phase_slot`), or one for ``cfg``."""
+    row = [cfg.phi0, *cfg.phi, *(-t for t in cfg.theta)]  # xi is the sum of the row
+    slot, values = 0, [cfg.phi0]
+    if variable is not None:
+        slot = cfg.phase_slot(variable)  # theta.<l> enters xi with a minus sign
+        values = [-v if slot > cfg.n_detected else v for v in grid]
+    phases = []  # e^(-i xi), xi summed exactly as hi + lo: near a zero |A| is as exact as xi
+    for value in values:
+        row[slot] = value
+        try:
+            hi = math.fsum(row)
+            lo = math.fsum(itertools.chain(row, (-hi,)))
+            phases.append(cmath.exp(-1j * hi) * cmath.exp(-1j * lo))
+        except OverflowError:  # a partial sum past the float range: one e^(-i phase) each
+            phases.append(math.prod(cmath.exp(-1j * v) for v in row))
+    return DetectedState(cfg.n_detected, math.prod(cfg.transmission), np.array(phases)[:, None])
 
 
 @functools.cache
@@ -419,7 +414,7 @@ def _port_branches(n: int) -> tuple[tuple[Outcome, ...], np.ndarray]:
     return port_outcomes(range(1, n + 1)), branches
 
 
-_separable_pair = functools.cache(lambda: DetectedState(2, 0.0, 1.0).density())
+_separable_pair = functools.cache(lambda: DetectedState(2, 0.0, np.ones((1, 1))).density())
 
 
 def joint_probability(psi: PureState, outcome: DetectionOutcome) -> float:

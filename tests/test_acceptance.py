@@ -181,7 +181,7 @@ def test_criterion_07_concurrence_visibility_transmission():
     report(
         7,
         "concurrence = visibility = transmission",
-        worst_c <= 1e-6 and worst_v <= 1e-6,
+        worst_c <= 1e-12 and worst_v <= 1e-6,
         f"max |C-T| {worst_c:.2e}, max |V-T| {worst_v:.2e}",
     )
 

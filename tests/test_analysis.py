@@ -44,7 +44,7 @@ from pisim import (
     visibility,
 )
 from pisim.analysis import CONCURRENCE_FLOOR, _computational_matrix
-from pisim.interferometer import branch_probabilities
+from pisim.interferometer import detected_state
 from pisim.states import port_outcomes
 from conftest import case_i, random_detector_state
 
@@ -211,7 +211,7 @@ class TestVisibility:
         steps = data.draw(st.integers(8, 64))
         start = data.draw(st.floats(-7.0, 7.0))
         grid = [start + k * math.tau / steps for k in range(steps)]
-        pattern = branch_probabilities(cfg, variable, grid).marginal
+        pattern = detected_state(cfg, variable, grid).table().marginal
         total_t = math.prod(cfg.transmission)
         for x in range(pattern.shape[1]):
             assert abs(visibility(grid, pattern[:, x]) - total_t) <= 1e-9
@@ -277,9 +277,40 @@ class TestConcurrenceProperties:
             assert concurrence(pair) == 0.0
 
 
+class TestOneToRestConcurrence:
+    """``2 s1 s2`` of the particle's amplitude matrix, the route that the residual tangle
+    of ``test_hyperdeterminant_matches_the_residual_route`` takes."""
+
+    def test_normalized_product_state_is_exactly_zero(self):
+        # the determinant route gave 7.1e-9 here: the root of a rounding-level determinant
+        c, s = math.cos(0.3), math.sin(0.3)
+        factor = ((0, c), (1, s))
+        terms = [(detector_outcome((a, b)), x * y) for a, x in factor for b, y in factor]
+        psi = pure_state_from_terms(terms).normalized()
+        assert one_to_rest_concurrence(psi, 1) == one_to_rest_concurrence(psi, 2) == 0.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        parts=st.lists(st.tuples(UNIT, UNIT) | st.just((0.0, 0.0)), min_size=4, max_size=4),
+        particle=st.sampled_from([1, 2]),
+    )
+    def test_two_particles_give_the_pair_concurrence(self, parts, particle):
+        amplitudes = [complex(x, y) for x, y in parts]
+        assume(sum(abs(a) ** 2 for a in amplitudes) > 0.01)
+        psi = pure_state_from_terms(zip(port_outcomes((1, 2)), amplitudes)).normalized()
+        value = one_to_rest_concurrence(psi, particle)
+        assert abs(value - concurrence(to_density(psi))) <= 1e-12
+
+    def test_what_is_not_a_figure(self):
+        with pytest.raises(ValueError, match=r"particles \[3\] are not part of this state"):
+            one_to_rest_concurrence(bell_psi_plus(), 3)
+        with pytest.raises(NormalizationError):
+            one_to_rest_concurrence(pure_state_from_terms([(detector_outcome((0, 0)), 0.5)]), 1)
+
+
 class TestConcurrence:
     def test_even_parity_mixture_equals_transmission(self):
-        assert concurrence(even_parity_mixture(0.5)) == pytest.approx(0.5, abs=1e-6)
+        assert concurrence(even_parity_mixture(0.5)) == pytest.approx(0.5, abs=1e-12)
 
     def test_product_state_is_separable(self):
         rho = to_density(pure_state_from_terms([(detector_outcome((0, 0)), 1.0)]))
@@ -338,12 +369,10 @@ class TestConcurrence:
     def test_invariant_under_identical_port_relabeling(self):
         rho = even_parity_mixture(0.62)
         base = concurrence(rho)
-        # sqrt of the spin-flip spectrum turns O(1e-17) eigenvalue noise into
-        # O(1e-9) concurrence noise, so exact equality is out of reach.
         for permutation in ((1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0)):
             permuted = rho.matrix[np.ix_(permutation, permutation)]
             relabeled = DensityMatrix(rho.kept_particles, rho.basis, permuted)
-            assert concurrence(relabeled) == pytest.approx(base, abs=1e-7)
+            assert concurrence(relabeled) == pytest.approx(base, abs=1e-12)
 
 
 class TestThreeTangle:
@@ -384,8 +413,6 @@ class TestThreeTangle:
             three_tangle(psi)
 
     def test_hyperdeterminant_matches_the_residual_route(self):
-        # C_{1(23)}^2 - C_12^2 - C_13^2 carries the square root of rounding noise
-        # through the pair concurrences, so the two routes agree to ~1e-8 only
         rng = np.random.default_rng(20170227)
         for _ in range(1000):
             psi = random_detector_state(rng, 3)
@@ -396,7 +423,7 @@ class TestThreeTangle:
             )
             tangle = three_tangle(psi)
             assert 0.0 <= tangle <= 1.0
-            assert abs(tangle - residual) <= 1e-7
+            assert abs(tangle - residual) <= 1e-12
 
     def test_exact_values(self):
         assert three_tangle(w_state()) == 0.0
@@ -470,7 +497,7 @@ class TestEntanglementLaws:
             rows = sweep_pattern(case_i(t3=t3), "theta.3", FULL_TURN)
             seen_c = concurrence(rho)
             seen_v = visibility(FULL_TURN, rows[:, 1])  # outcome 01
-            assert abs(seen_c - t3) <= 1e-6
+            assert abs(seen_c - t3) <= 1e-12
             assert abs(seen_v - t3) <= 1e-6
 
     def test_fidelity_tracks_visibility_for_both_parities(self):

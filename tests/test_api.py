@@ -1,7 +1,9 @@
-"""Every exported name resolves, and every function the benchmark trace wraps exists."""
+"""Every exported name resolves, every function the benchmark trace wraps exists, and no
+module imports another's private names."""
 
 from __future__ import annotations
 
+import ast
 import importlib
 import importlib.util
 import sys
@@ -12,6 +14,7 @@ import pytest
 import pisim
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "pisim").glob("*.py"))
 
 
 def _traced_functions() -> list[tuple[str, str]]:
@@ -35,3 +38,15 @@ def test_exported_name_resolves(name):
 @pytest.mark.parametrize("module,name", _traced_functions())
 def test_traced_function_exists(module, name):
     assert callable(getattr(importlib.import_module(f"pisim.{module}"), name, None))
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_no_private_name_crosses_a_module_boundary(path):
+    imported = [
+        f"{'.' * node.level}{node.module or ''}.{alias.name}"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ImportFrom) and node.level > 0
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert imported == []

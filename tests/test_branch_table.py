@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from pisim import ConfigError, SchemeConfig, outcome_probabilities, run_scheme, sweep_pattern
 from pisim.cli import _fmt
-from pisim.interferometer import branch_probabilities
+from pisim.interferometer import detected_state
 from conftest import attenuated_coincidence
 
 #: Where the two routes print different 12-digit texts, the values must lie this
@@ -77,7 +77,7 @@ class TestThreeRoutes:
     @example(cfg=SchemeConfig(5, 2, transmission=(0.0, 0.5)))
     @settings(max_examples=80, deadline=None)
     def test_table_matches_engine_and_law(self, cfg):
-        table = branch_probabilities(cfg)
+        table = detected_state(cfg).table()
         assert table.loss_free.shape == table.marginal.shape == (1, 2**cfg.n_detected)
         assert_matches_engine(cfg, table)
         total_t, n = math.prod(cfg.transmission), cfg.n_detected
@@ -94,7 +94,7 @@ class TestThreeRoutes:
         variables += [f"theta.{l}" for l in cfg.aligned_range]
         variable = data.draw(st.sampled_from(variables))
         grid = data.draw(st.lists(PHASES | st.sampled_from(CANCELLING_XI), min_size=1, max_size=4))
-        table = branch_probabilities(cfg, variable, grid)
+        table = detected_state(cfg, variable, grid).table()
         assert table.loss_free.shape == (len(grid), 2**cfg.n_detected)
         pattern = sweep_pattern(cfg, variable, grid)  # the engine's marginal, row by row
         assert pattern.shape == table.marginal.shape
@@ -113,7 +113,7 @@ class TestThreeRoutes:
     def test_empty_sweep_has_no_rows(self, cfg, variable):
         shape = (0, 2**cfg.n_detected)
         assert sweep_pattern(cfg, variable, []).shape == shape
-        table = branch_probabilities(cfg, variable, [])
+        table = detected_state(cfg, variable, []).table()
         assert table.loss_free.shape == table.marginal.shape == shape
 
     @pytest.mark.parametrize(
@@ -127,7 +127,7 @@ class TestThreeRoutes:
     def test_phase_left_over_by_a_large_sum(self, cfg):
         # the float sum of the phases drops (part of) the small one; the remainder
         # must still turn the phase, as a unit factor
-        table = branch_probabilities(cfg)
+        table = detected_state(cfg).table()
         assert_matches_engine(cfg, table)
         assert abs(table.loss_free.sum() + table.lost - 1.0) <= 1e-12
 
@@ -152,9 +152,9 @@ class TestNoDetectedParticle:
         "call",
         [
             run_scheme,
-            branch_probabilities,
-            lambda cfg: branch_probabilities(cfg, "theta.1", [0.0, 1.0]),
-            lambda cfg: branch_probabilities(cfg, "theta.1", []),
+            lambda cfg: detected_state(cfg).table(),
+            lambda cfg: detected_state(cfg, "theta.1", [0.0, 1.0]).table(),
+            lambda cfg: detected_state(cfg, "theta.1", []).table(),
             lambda cfg: sweep_pattern(cfg, "theta.1", [0.0, 1.0]),
             lambda cfg: sweep_pattern(cfg, "theta.1", []),
         ],

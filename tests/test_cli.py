@@ -33,6 +33,7 @@ from pisim import (
     ghz_class_three,
     outcome_probabilities,
     primed_detector,
+    interferometer,
     run_scheme,
 )
 from pisim.cli import (
@@ -669,7 +670,7 @@ class TestEntangleCommand:
         for row in rows:
             t = float(row[0])
             assert float(row[1]) == pytest.approx(t, abs=1e-6)
-            assert float(row[2]) == pytest.approx(t, abs=1e-6)
+            assert float(row[2]) == pytest.approx(t, abs=1e-11)
             assert float(row[3]) == pytest.approx((1 + t) / 2, abs=1e-9)
             assert row[4] == ""  # two detected particles carry no three-tangle
 
@@ -717,25 +718,21 @@ class TestEntangleCommand:
 class TestNumericalFailures:
     @pytest.mark.parametrize("error", [ValidationError, NormalizationError])
     def test_numerical_errors_exit_numeric(self, tmp_path, monkeypatch, error):
-        import pisim.cli as cli
-
         def fail(_state):
             raise error("injected failure")
 
-        monkeypatch.setattr(cli.DetectedState, "density", fail)
+        monkeypatch.setattr(interferometer.DetectedState, "density", fail)
         text = "command = entangle\nscheme.n = 3\nscheme.m = 1\nentangle.grid = 1\n"
         out = tmp_path / "ent.csv"
         assert execute(parse_scenario(text), out_path=str(out)) == EXIT_NUMERIC
         assert not out.exists()
 
     def test_non_finite_density_exits_numeric(self, tmp_path, monkeypatch, capsys):
-        import pisim.cli as cli
-
         def nan_density(_state):
             basis = ((detector(1), detector(2)), (primed_detector(1), primed_detector(2)))
             return DensityMatrix((1, 2), basis, np.full((2, 2), math.nan))
 
-        monkeypatch.setattr(cli.DetectedState, "density", nan_density)
+        monkeypatch.setattr(interferometer.DetectedState, "density", nan_density)
         text = "command = entangle\nscheme.n = 3\nscheme.m = 1\nentangle.grid = 1\n"
         out = tmp_path / "ent.csv"
         assert execute(parse_scenario(text), out_path=str(out)) == EXIT_NUMERIC
@@ -754,15 +751,13 @@ class TestNumericalFailures:
     def test_row_off_unity_exits_numeric(
         self, tmp_path, monkeypatch, capsys, command, text, message
     ):
-        import pisim.cli as cli
+        exact = interferometer.DetectedState.table
 
-        exact = cli.branch_probabilities
-
-        def skewed(*args, **kwargs):
-            table = exact(*args, **kwargs)
+        def skewed(state):
+            table = exact(state)
             return table._replace(loss_free=table.loss_free * 1.001)
 
-        monkeypatch.setattr(cli, "branch_probabilities", skewed)
+        monkeypatch.setattr(interferometer.DetectedState, "table", skewed)
         scenario, out = tmp_path / "case.scenario", tmp_path / "out.csv"
         scenario.write_text(text)
         capsys.readouterr()

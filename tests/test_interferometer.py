@@ -45,7 +45,7 @@ from pisim import (
 )
 from pisim.analysis import pure_state_from_density, three_tangle
 from pisim.closed_form import predicted_output_state
-from pisim.interferometer import DetectedState, branch_probabilities
+from pisim.interferometer import DetectedState, detected_state
 from pisim.states import MAX_DENSITY_DIM, port_columns, port_outcomes
 from conftest import assert_states_close, attenuated_coincidence, case_i
 
@@ -147,7 +147,7 @@ class TestSchemeConfig:
         for call in (
             lambda: cfg.phase_slot(variable),
             lambda: cfg.replace_phase(variable, 1.0),
-            lambda: branch_probabilities(cfg, variable, [0.0, 1.0]),
+            lambda: detected_state(cfg, variable, [0.0, 1.0]).table(),
         ):
             with pytest.raises(ValueError, match="unknown phase variable"):
                 call()
@@ -661,10 +661,6 @@ def form_schemes(draw) -> SchemeConfig:
     return SchemeConfig(n + m, m, phi0=draw(phases), phi=phi, theta=theta, transmission=trans)
 
 
-def detected_state(cfg: SchemeConfig) -> DetectedState:
-    return DetectedState(cfg.n_detected, math.prod(cfg.transmission), cmath.exp(-1j * cfg.xi))
-
-
 class TestDetectedState:
     """The two-branch form of the detected state against the sparse engine and the
     closed form: (n, T, e^(-i xi)) fixes rho."""
@@ -702,13 +698,26 @@ class TestDetectedState:
         assert three_tangle(pure) == pytest.approx(1.0, abs=1e-12)
 
     def test_what_is_not_built(self):
+        one = np.ones((1, 1))
         with pytest.raises(ValueError, match="mixed at T = 0.5"):
-            DetectedState(3, 0.5, 1.0).pure_state()
+            DetectedState(3, 0.5, one).pure_state()
         with pytest.raises(ValueError, match="a pair of 2 particles is the whole state"):
-            DetectedState(2, 1.0, 1.0).pair()
+            DetectedState(2, 1.0, one).pair()
         too_many = MAX_DENSITY_DIM.bit_length()  # 2^13 > 4096
         with pytest.raises(ValueError, match=f"of {too_many} particles exceeds {MAX_DENSITY_DIM}"):
-            DetectedState(too_many, 1.0, 1.0).density()
+            DetectedState(too_many, 1.0, one).density()
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_state_of_a_sweep_has_no_single_phase(self, n):
+        # a column of two phases is a table, not a state: density() and pure_state() read one
+        sweep = detected_state(SchemeConfig(n + 1, 1), f"theta.{n + 1}", [0.0, 1.0])
+        assert sweep.phase.shape == (2, 1)
+        assert sweep.table().loss_free.shape == (2, 2**n)
+        for build in (sweep.density, sweep.pure_state):
+            with pytest.raises(ValueError, match="size 1"):
+                build()
+        if n == 3:  # the pair reads no phase
+            assert sweep.pair() is detected_state(SchemeConfig(4, 1)).pair()
 
 
 class TestStageInvariants:
