@@ -33,35 +33,36 @@ def sweep_pattern(cfg: SchemeConfig, variable: str, grid: Sequence[float]) -> np
     return np.array(rows).reshape(len(rows), 2**cfg.n_detected)
 
 
-def visibility(phases: Sequence[float], samples: Sequence[float]) -> float:
-    """(max - min)/(max + min) of the least-squares sinusoid through one pattern: the
-    probability ``samples`` of one outcome at the finite, strictly increasing ``phases`` of the
-    sweep variable, such as a column of :func:`sweep_pattern`.
-
-    The fit model is ``offset + a cos(phase) + b sin(phase)``, which recovers
-    the ideal pattern exactly on a uniform full-period grid.  The phases must
-    be at least 8 and cover a full 2 pi period (endpoint-exclusive grids
-    qualify), with one sample in [0, 1] per phase.
-    """
+def visibility(phases: Sequence[float], samples: Sequence[float]) -> float | np.ndarray:
+    """(max - min)/(max + min) of the least-squares sinusoid ``offset + a cos(phase) +
+    b sin(phase)`` through each pattern: the probabilities ``samples`` in [0, 1] of one outcome
+    at the finite, strictly increasing ``phases`` of the sweep variable, at least 8 covering a
+    full 2 pi period (endpoint-exclusive grids qualify), such as a column of :func:`sweep_pattern`.
+    As in numpy, the last axis of ``samples`` runs over ``phases`` and leading axes index
+    independent patterns, each solved on the one design: a float for one pattern, else an array
+    of shape ``samples.shape[:-1]``.  The fit is exact on a uniform full-period grid."""
     phases, samples = np.asarray(phases, dtype=float), np.asarray(samples, dtype=float)
     if len(phases) < 8:
         raise ValueError(f"a pattern needs at least 8 phases, got {len(phases)}")
     gaps = np.diff(phases)
     if not ((gaps > 0).all() and np.isfinite(phases).all()):
         raise ValueError("pattern phases must be finite and strictly increasing")
-    if phases.ndim != 1 or samples.shape != phases.shape:
+    if phases.ndim != 1 or samples.shape[-1:] != phases.shape:
         raise ValueError(f"sample shape {samples.shape} does not match phase shape {phases.shape}")
-    if not (samples.min() >= -_PROBABILITY_SLACK and samples.max() <= 1.0 + _PROBABILITY_SLACK):
+    if not ((samples >= -_PROBABILITY_SLACK) & (samples <= 1.0 + _PROBABILITY_SLACK)).all():
         raise ValueError("pattern probabilities must lie in [0, 1]")
     if phases[-1] - phases[0] + gaps.max() < 2 * math.pi - 1e-9:
         raise ValueError("visibility needs a pattern covering a full 2*pi period")
     design = np.column_stack([np.ones_like(phases), np.cos(phases), np.sin(phases)])
-    (offset, a, b), *_ = np.linalg.lstsq(design, samples, rcond=None)
-    amplitude = math.hypot(a, b)
-    peak, trough = offset + amplitude, offset - amplitude
-    if peak + trough <= 1e-12:
-        raise VisibilityUndefinedError("pattern is identically zero; visibility is undefined")
-    return float((peak - trough) / (peak + trough))
+    values = []
+    for pattern in samples.reshape(-1, len(phases)):
+        (offset, a, b), *_ = np.linalg.lstsq(design, pattern, rcond=None)
+        amplitude = math.hypot(a, b)
+        peak, trough = offset + amplitude, offset - amplitude
+        if peak + trough <= 1e-12:
+            raise VisibilityUndefinedError("pattern is identically zero; visibility is undefined")
+        values.append(float((peak - trough) / (peak + trough)))
+    return values[0] if samples.ndim == 1 else np.array(values).reshape(samples.shape[:-1])
 
 
 def _computational_matrix(rho: DensityMatrix) -> np.ndarray:

@@ -31,7 +31,7 @@ from .errors import (
     ValidationError,
 )
 from .interferometer import MAX_PARTICLES, SchemeConfig, detected_state, run_scheme
-from .states import aligned_beam, pure_state_from_terms, state_fidelity
+from .states import aligned_beam, port_bitstrings, pure_state_from_terms, state_fidelity
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -326,16 +326,15 @@ def _cmd_run(scenario: Scenario, path: str) -> int:
     if not _row_sum_ok(row, table.lost):
         print("pisim: outcome probabilities do not sum to 1", file=sys.stderr)
         return EXIT_NUMERIC
-    n = scenario.scheme.n_detected
-    lines = ["outcome,probability"] + [f"{x:0{n}b},{p}" for x, p in enumerate(_fmt_all(row))]
+    cells = zip(port_bitstrings(scenario.scheme.n_detected), _fmt_all(row))
+    lines = ["outcome,probability"] + [f"{b},{p}" for b, p in cells]
     _write_lines(path, lines + [f"loss,{_fmt(table.lost)}"])
     return EXIT_OK
 
 
 def _cmd_sweep(scenario: Scenario, path: str) -> int:
     scheme, spec = scenario.scheme, scenario.sweep
-    n = scheme.n_detected
-    lines = ["phase," + ",".join(f"P_{x:0{n}b}" for x in range(2**n)) + ",P_loss"]
+    lines = ["phase," + ",".join("P_" + b for b in port_bitstrings(scheme.n_detected)) + ",P_loss"]
     width = (spec.stop - spec.start) / spec.steps
     grid = [spec.start + k * width for k in range(spec.steps)]
     table = detected_state(scheme, spec.variable, grid).table()
@@ -355,16 +354,18 @@ def _cmd_entangle(scenario: Scenario) -> list[str]:
     target = entangled_class_state(_target_class(name, n)) if name else None
     sweep = detected_state(scheme, f"theta.{n + 1}", _VISIBILITY_GRID)
     state = detected_state(scheme)  # e^(-i xi) does not depend on t
+    totals = [math.prod((t,) * scheme.n_aligned) for t in scenario.entangle_grid]
+    patterns = [sweep._replace(transmission=total).table().marginal[:, 0] for total in totals]
+    visibilities = visibility(_VISIBILITY_GRID, np.array(patterns))
+    pair = concurrence(state.pair()) if n != 2 else None  # the same for every T
     columns = ("visibility", "concurrence", "fidelity", "three_tangle")
     lines = ["transmission," + ",".join(columns)]
-    for t in scenario.entangle_grid:
-        total = math.prod((t,) * scheme.n_aligned)
-        pattern = sweep._replace(transmission=total).table().marginal[:, 0]
+    for t, total, seen in zip(scenario.entangle_grid, totals, visibilities.tolist()):
         detected = state._replace(transmission=total)
         rho = detected.density()
         figures = (
-            visibility(_VISIBILITY_GRID, pattern),
-            concurrence(rho if n == 2 else detected.pair()),
+            seen,
+            concurrence(rho) if n == 2 else pair,
             fidelity(rho, target) if target is not None else None,
             three_tangle(detected.pure_state()) if n == 3 and total == 1.0 else None,
         )

@@ -29,6 +29,7 @@ from .states import (
     aligned_beam,
     detector,
     loss,
+    port_bitstrings,
     port_columns,
     port_outcomes,
     primed_detector,
@@ -171,12 +172,10 @@ class DetectionOutcome:
 
     @staticmethod
     def all_outcomes(n_detected: int) -> tuple[DetectionOutcome, ...]:
-        """All 2^n outcomes in ascending bitstring order."""
+        """All 2^n outcomes in column order (:func:`~pisim.states.port_bitstrings`)."""
         if n_detected < 1:
             raise ValueError("n_detected must be >= 1")
-        return tuple(
-            DetectionOutcome(ports) for ports in itertools.product((0, 1), repeat=n_detected)
-        )
+        return tuple(DetectionOutcome(tuple(map(int, b))) for b in port_bitstrings(n_detected))
 
 
 def build_two_source_state(cfg: SchemeConfig) -> PureState:
@@ -342,6 +341,13 @@ class DetectedState(NamedTuple):
     n_detected: int
     transmission: float
     phase: np.ndarray
+
+    def __eq__(self, other: object) -> bool:  # by value, phase column shapes included
+        same = isinstance(other, DetectedState) and self[:2] == other[:2]
+        return same and np.array_equal(self.phase, other.phase)
+
+    def __ne__(self, other: object) -> bool:  # hash() still fails on the phase column
+        return not self == other
 
     def table(self) -> BranchTable:
         """All coincidence probabilities, one row per phase value.  The output is

@@ -16,7 +16,7 @@ import operator
 from dataclasses import dataclass
 from enum import IntEnum
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -173,6 +173,11 @@ def port_outcomes(particles: Iterable[int]) -> tuple[Outcome, ...]:
     its ports as the bits of x, the first particle the highest bit, unprimed d_k = 0 and
     primed d_k' = 1.  This is the order of every table column and port basis in pisim."""
     return tuple(itertools.product(*((detector(j), primed_detector(j)) for j in particles)))
+
+
+def port_bitstrings(k: int) -> Iterator[str]:
+    """The :func:`port_outcomes` of k particles as k-bit strings, 1 for a primed port."""
+    return map("".join, itertools.product("01", repeat=k))
 
 
 def port_columns(slots: Iterable[Sequence[PathLabel]], particles: Sequence[int]) -> np.ndarray:

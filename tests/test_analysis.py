@@ -183,8 +183,13 @@ class TestVisibility:
 
     @pytest.mark.parametrize(
         "samples, shape",
-        [(_pattern(FULL_TURN)[:-1], "(63,)"), (np.zeros((64, 1)), "(64, 1)"), (0.25, "()")],
-        ids=["short", "column-matrix", "scalar"],
+        [
+            (_pattern(FULL_TURN)[:-1], "(63,)"),
+            (np.zeros((64, 1)), "(64, 1)"),
+            (0.25, "()"),
+            (np.zeros((2, 63)), "(2, 63)"),
+        ],
+        ids=["short", "column-matrix", "scalar", "stacked-short"],
     )
     def test_one_sample_per_phase(self, samples, shape):
         with pytest.raises(ValueError) as caught:
@@ -203,6 +208,42 @@ class TestVisibility:
         samples = _pattern(FULL_TURN)
         samples[0], samples[32] = -1e-9, 0.5 + 1e-9  # the trough and the peak
         assert visibility(FULL_TURN, samples) == pytest.approx(1.0, abs=1e-8)
+
+    @given(
+        cfg=aligned_schemes(),
+        transmissions=st.lists(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0), max_size=4),
+        data=st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_stacked_patterns_match_one_by_one(self, cfg, transmissions, data):
+        # leading axes index patterns: each one's figure keeps the bits of its own 1-D call
+        grid = data.draw(st.sampled_from([FULL_TURN, [k * math.tau / 9 for k in range(9)]]))
+        sweep = detected_state(cfg, f"theta.{cfg.n_particles}", grid)
+        tables = [sweep._replace(transmission=t).table() for t in transmissions]
+        samples = np.array([table.marginal.T for table in tables]).reshape(
+            len(transmissions), 2**cfg.n_detected, len(grid)
+        )
+        figures = visibility(grid, samples)
+        assert isinstance(figures, np.ndarray) and figures.shape == samples.shape[:-1]
+        for index in np.ndindex(samples.shape[:-1]):
+            alone = visibility(grid, samples[index])
+            assert type(alone) is float and figures[index] == alone
+            assert visibility(grid, samples[index][None]).tolist() == [alone]
+
+    def test_stacked_zero_pattern_is_undefined(self):
+        samples = np.stack([_pattern(FULL_TURN), np.zeros(64), _pattern(FULL_TURN)])
+        with pytest.raises(VisibilityUndefinedError) as caught:
+            visibility(FULL_TURN, samples)
+        assert str(caught.value) == "pattern is identically zero; visibility is undefined"
+        with pytest.raises(VisibilityUndefinedError):
+            visibility(FULL_TURN, samples[1:2].reshape(1, 1, 64))
+
+    def test_stacked_samples_must_be_probabilities(self):
+        samples = np.stack([_pattern(FULL_TURN), _pattern(FULL_TURN)])
+        samples[1, 7] = -1.0
+        with pytest.raises(ValueError) as caught:
+            visibility(FULL_TURN, samples)
+        assert str(caught.value) == "pattern probabilities must lie in [0, 1]"
 
     @given(cfg=aligned_schemes(), data=st.data())
     @settings(max_examples=60, deadline=None)

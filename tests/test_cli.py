@@ -715,6 +715,55 @@ class TestEntangleCommand:
         assert not out.exists()
 
 
+_ENTANGLE_TARGETS = {2: (None, "Psi+", "Phi-", "F1", "F2"), 3: (None, "GHZ3", "F3", "F4")}
+_GRID_POINTS = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
+_FULL_GRIDS = [DEFAULT_ENTANGLE_GRID, tuple(k / 100 for k in range(MAX_ENTANGLE_GRID))]
+
+
+@st.composite
+def entangle_documents(draw) -> str:
+    """An entangle scenario with no grid: 2 or 3 detected particles and any target that fits."""
+    n, m = draw(st.sampled_from([2, 3])), draw(st.integers(1, 3))
+    phases = st.floats(-7.0, 7.0)
+    lines = ["command = entangle", f"scheme.n = {n + m}", f"scheme.m = {m}"]
+    lines += [f"scheme.phi0 = {draw(phases)!r}"]
+    lines += [f"scheme.phi.{j} = {draw(phases)!r}" for j in range(1, n + 1)]
+    lines += [f"scheme.theta.{l} = {draw(phases)!r}" for l in range(n + 1, n + m + 1)]
+    target = draw(st.sampled_from(_ENTANGLE_TARGETS[n]))
+    return "\n".join(lines + ([f"target = {target}"] if target else [])) + "\n"
+
+
+@st.composite
+def entangle_grids(draw) -> tuple[float, ...]:
+    """Short grids with repeats, or a full one (the default or 101 points), in any order."""
+    grid = draw(st.lists(_GRID_POINTS, min_size=1, max_size=6) | st.sampled_from(_FULL_GRIDS))
+    repeats = draw(st.lists(st.sampled_from(grid), max_size=3))
+    return tuple(draw(st.permutations((list(grid) + repeats)[-MAX_ENTANGLE_GRID:])))
+
+
+class TestEntangleGridPoints:
+    """The grid is evaluated in one pass (one visibility call, the pair concurrence once),
+    so no grid point may see another's values."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(document=entangle_documents(), grid=entangle_grids())
+    def test_each_row_is_its_point_alone(self, tmp_path_factory, document, grid):
+        work = tmp_path_factory.mktemp("grid")
+        scenario, out = work / "ent.scenario", work / "ent.csv"
+
+        def rows(points) -> list[bytes]:
+            values = ",".join(repr(t) for t in points)
+            scenario.write_text(f"{document}entangle.grid = {values}\n")
+            assert main(["entangle", "--scenario", str(scenario), "--out", str(out)]) == EXIT_OK
+            return out.read_bytes().splitlines()
+
+        together = rows(grid)
+        assert len(together) == len(grid) + 1
+        alone = {t: rows([t]) for t in set(grid)}
+        for t, row in zip(grid, together[1:]):
+            assert alone[t] == [together[0], row]
+
+
 class TestNumericalFailures:
     @pytest.mark.parametrize("error", [ValidationError, NormalizationError])
     def test_numerical_errors_exit_numeric(self, tmp_path, monkeypatch, error):

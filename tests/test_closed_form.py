@@ -36,7 +36,7 @@ from pisim import (
     state_fidelity,
     xi_for_class,
 )
-from pisim.states import port_outcomes
+from pisim.states import port_bitstrings, port_outcomes
 
 F1, F2, F3, F4 = (
     EntangledClassId.F1,
@@ -123,6 +123,17 @@ class TestPortOrder:
         assert len(outcomes) == len(detections) == 2**n
         for x, outcome in enumerate(outcomes):
             assert outcome == detector_outcome(detections[x].ports)
+
+    @pytest.mark.parametrize("k", range(1, 9))
+    def test_bitstring_x_marks_the_primed_ports_of_outcome_x(self, k):
+        strings, outcomes = list(port_bitstrings(k)), port_outcomes(range(1, k + 1))
+        assert len(strings) == len(outcomes) == 2**k
+        for bits, outcome in zip(strings, outcomes):
+            assert len(bits) == k
+            primed = {j for j, label in enumerate(outcome) if label == primed_detector(j + 1)}
+            unprimed = {j for j, label in enumerate(outcome) if label == detector(j + 1)}
+            assert {j for j, c in enumerate(bits) if c == "1"} == primed
+            assert {j for j, c in enumerate(bits) if c == "0"} == unprimed
 
     def test_particles_keep_their_labels(self):
         d2, d4, p2, p4 = detector(2), detector(4), primed_detector(2), primed_detector(4)

@@ -707,6 +707,28 @@ class TestDetectedState:
         with pytest.raises(ValueError, match=f"of {too_many} particles exceeds {MAX_DENSITY_DIM}"):
             DetectedState(too_many, 1.0, one).density()
 
+    def test_equality_is_by_value(self):
+        cfg = SchemeConfig(4, 1, phi0=0.3, transmission=(0.5,))
+        sweep = detected_state(cfg, "theta.4", [0.0, 1.0])
+        same = detected_state(cfg, "theta.4", [0.0, 1.0])
+        assert sweep.phase is not same.phase
+        assert (sweep == same) is True and (sweep != same) is False
+        others = [
+            detected_state(cfg, "theta.4", [0.0, 2.0]),  # another phase
+            detected_state(cfg, "theta.4", [0.0]),  # another row count
+            DetectedState(4, 0.5, sweep.phase),  # another n
+            sweep._replace(transmission=0.25),
+            sweep._replace(phase=sweep.phase.reshape(1, 2)),  # the same values as a row
+            tuple(sweep),
+        ]
+        for other in others:
+            assert (sweep == other) is False and (sweep != other) is True
+            assert (other == sweep) is False and (other != sweep) is True
+        with pytest.raises(TypeError):
+            hash(sweep)
+        with pytest.raises(TypeError):
+            hash(detected_state(cfg))
+
     @pytest.mark.parametrize("n", [2, 3])
     def test_state_of_a_sweep_has_no_single_phase(self, n):
         # a column of two phases is a table, not a state: density() and pure_state() read one
