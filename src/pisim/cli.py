@@ -316,8 +316,8 @@ def _row_sum_ok(probabilities: Sequence[float], lost: float) -> bool:
 
 def _fmt_all(values: Sequence[float]) -> list[str]:
     """``_fmt`` of each value, formatting each distinct value once."""
-    texts: dict[float, str] = {}
-    return [texts[v] if v in texts else texts.setdefault(v, _fmt(v)) for v in values]
+    texts = {v: _fmt(v) for v in set(values)}
+    return list(map(texts.__getitem__, values))
 
 
 def _cmd_run(scenario: Scenario, path: str) -> int:
@@ -326,9 +326,8 @@ def _cmd_run(scenario: Scenario, path: str) -> int:
     if not _row_sum_ok(row, table.lost):
         print("pisim: outcome probabilities do not sum to 1", file=sys.stderr)
         return EXIT_NUMERIC
-    cells = zip(port_bitstrings(scenario.scheme.n_detected), _fmt_all(row))
-    lines = ["outcome,probability"] + [f"{b},{p}" for b, p in cells]
-    _write_lines(path, lines + [f"loss,{_fmt(table.lost)}"])
+    cells = map(",".join, zip(port_bitstrings(scenario.scheme.n_detected), _fmt_all(row)))
+    _write_lines(path, ["outcome,probability", *cells, f"loss,{_fmt(table.lost)}"])
     return EXIT_OK
 
 
@@ -338,12 +337,12 @@ def _cmd_sweep(scenario: Scenario, path: str) -> int:
     width = (spec.stop - spec.start) / spec.steps
     grid = [spec.start + k * width for k in range(spec.steps)]
     table = detected_state(scheme, spec.variable, grid).table()
-    for phase, values in zip(grid, table.loss_free):
-        row = values.tolist()
+    lost = _fmt(table.lost)
+    for phase, row in zip(grid, table.loss_free.tolist()):
         if not _row_sum_ok(row, table.lost):
             print(f"pisim: probabilities at phase {phase} do not sum to 1", file=sys.stderr)
             return EXIT_NUMERIC
-        lines.append(",".join([_fmt(phase)] + _fmt_all(row) + [_fmt(table.lost)]))
+        lines.append(",".join([_fmt(phase), *_fmt_all(row), lost]))
     _write_lines(path, lines)
     return EXIT_OK
 

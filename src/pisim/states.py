@@ -16,7 +16,7 @@ import operator
 from dataclasses import dataclass
 from enum import IntEnum
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -175,9 +175,12 @@ def port_outcomes(particles: Iterable[int]) -> tuple[Outcome, ...]:
     return tuple(itertools.product(*((detector(j), primed_detector(j)) for j in particles)))
 
 
-def port_bitstrings(k: int) -> Iterator[str]:
-    """The :func:`port_outcomes` of k particles as k-bit strings, 1 for a primed port."""
-    return map("".join, itertools.product("01", repeat=k))
+@functools.cache
+def port_bitstrings(k: int) -> tuple[str, ...]:
+    """The :func:`port_outcomes` of k particles as k-bit strings, 1 for a primed port.
+    Cached: one tuple of 2^k strings per k asked for, and pisim asks for k up to
+    ``MAX_PARTICLES`` only."""
+    return tuple(map("".join, itertools.product("01", repeat=k)))
 
 
 def port_columns(slots: Iterable[Sequence[PathLabel]], particles: Sequence[int]) -> np.ndarray:
@@ -330,6 +333,15 @@ class DensityMatrix:
         basis = tuple(tuple(o) for o in self.basis)
         if any(len(o) != len(kept) for o in basis):
             raise ValidationError("every basis outcome must cover exactly the kept particles")
+        for particle, column in zip(kept, zip(*basis)):  # each distinct label once
+            foreign = [
+                str(x) for x in set(column) if not isinstance(x, PathLabel) or x.index != particle
+            ]
+            if foreign:
+                raise ValidationError(
+                    f"basis slot of particle {particle} carries {min(foreign)}, "
+                    f"which is not a label of particle {particle}"
+                )
         if not all(map(operator.lt, basis, basis[1:])):
             raise ValidationError("basis must be strictly ascending")
         matrix = np.asarray(self.matrix, dtype=complex)
@@ -339,16 +351,18 @@ class DensityMatrix:
             )
         if not np.isfinite(matrix).all():
             raise ValidationError("matrix has non-finite entries")
-        deviation = np.abs(matrix - matrix.conj().T).max()
+        work = matrix.T.copy()  # one buffer: conj(rho^T), then the gap, then rho - floor * I
+        np.conjugate(work, out=work)
+        deviation = np.abs(np.subtract(matrix, work, out=work)).max()
         if deviation > HERMITICITY_TOLERANCE:
             raise ValidationError(f"matrix is not Hermitian (max deviation {deviation:.3e})")
         trace = matrix.trace()
         if abs(trace - 1.0) > TRACE_TOLERANCE:
             raise ValidationError(f"trace is {trace:.15g}, expected 1")
-        shifted = matrix.copy()
-        shifted.flat[:: len(basis) + 1] -= EIGENVALUE_FLOOR
+        work[...] = matrix
+        work.flat[:: len(basis) + 1] -= EIGENVALUE_FLOOR
         try:
-            np.linalg.cholesky(shifted)  # factors exactly when every eigenvalue is above the floor
+            np.linalg.cholesky(work)  # factors exactly when every eigenvalue is above the floor
         except np.linalg.LinAlgError:
             smallest = np.linalg.eigvalsh(matrix).min()
             if smallest < EIGENVALUE_FLOOR:

@@ -18,6 +18,7 @@ from pisim import (
     LabelKind,
     NormalizationError,
     SchemeConfig,
+    ValidationError,
     VisibilityUndefinedError,
     aligned_beam,
     bell_phi_minus,
@@ -374,8 +375,9 @@ class TestConcurrence:
         bad = pure_state_from_terms(
             [((detector(1), detector(3)), 1.0)]
         )
-        with pytest.raises(ValueError):
-            concurrence(to_density(bad))
+        # a label of particle 3 in particle 2's slot: no density matrix holds it
+        with pytest.raises(ValidationError, match="carries d3, which is not a label of particle 2"):
+            to_density(bad)
         assert concurrence(rho) == pytest.approx(1.0, abs=1e-9)
 
     def test_incomplete_basis_is_embedded_at_its_port_columns(self):
@@ -393,19 +395,20 @@ class TestConcurrence:
         assert concurrence(rho) == concurrence(completed)
 
     @pytest.mark.parametrize(
-        "outcome",
+        "outcome, error, message",
         [
-            (detector(1), aligned_beam(2)),
-            (detector(1), loss(2)),
-            (detector(2), detector(1)),
-            (detector(1), primed_detector(3)),
+            ((detector(1), aligned_beam(2)), ValueError, "cannot be mapped to a detector port"),
+            ((detector(1), loss(2)), ValueError, "cannot be mapped to a detector port"),
+            ((detector(2), detector(1)), ValidationError, "carries d2, which is not a label"),
+            ((detector(1), primed_detector(3)), ValidationError, "carries d3', which is not a label"),
         ],
         ids=["aligned", "loss", "swapped-particles", "foreign-port"],
     )
-    def test_label_outside_its_detector_ports_rejected(self, outcome):
-        rho = DensityMatrix((1, 2), (outcome,), [[1.0]])
-        with pytest.raises(ValueError, match="cannot be mapped to a detector port"):
-            concurrence(rho)
+    def test_label_outside_its_detector_ports_rejected(self, outcome, error, message):
+        # a label of another particle is rejected by DensityMatrix, a mode that is no
+        # detector port by concurrence
+        with pytest.raises(error, match=message):
+            concurrence(DensityMatrix((1, 2), (outcome,), [[1.0]]))
 
     def test_invariant_under_identical_port_relabeling(self):
         rho = even_parity_mixture(0.62)

@@ -50,10 +50,13 @@ from pisim.cli import (
     USAGE,
     OracleSpec,
     SweepSpec,
+    _fmt,
     execute,
     main,
     parse_scenario,
 )
+from pisim.interferometer import MAX_PARTICLES, detected_state
+from pisim.states import port_bitstrings
 from conftest import attenuated_coincidence
 
 CASE_I_RUN = """
@@ -655,6 +658,77 @@ class TestSweepCommand:
         execute(scenario, out_path=str(first))
         execute(scenario, out_path=str(second))
         assert first.read_bytes() == second.read_bytes()
+
+
+@st.composite
+def table_documents(draw) -> str:
+    """A ``run`` document with 1-10 detected particles or a ``sweep`` with 1-6, up to three
+    aligned particles, any phases and transmissions including 0 and 1."""
+    command = draw(st.sampled_from(["run", "sweep"]))
+    n, m = draw(st.integers(1, 10 if command == "run" else 6)), draw(st.integers(0, 3))
+    phases = st.floats(-7.0, 7.0)
+    lines = [f"command = {command}", f"scheme.n = {n + m}", f"scheme.m = {m}"]
+    lines += [f"scheme.phi0 = {draw(phases)!r}"]
+    lines += [f"scheme.phi.{j} = {draw(phases)!r}" for j in range(1, n + 1)]
+    lines += [f"scheme.theta.{l} = {draw(phases)!r}" for l in range(n + 1, n + m + 1)]
+    lines += [f"scheme.transmission.{l} = {draw(_GRID_POINTS)!r}" for l in range(n + 1, n + m + 1)]
+    if command == "sweep":
+        variables = ["phi0"] + [f"phi.{j}" for j in range(1, n + 1)]
+        variables += [f"theta.{l}" for l in range(n + 1, n + m + 1)]
+        start = draw(phases)
+        lines += [
+            f"sweep.variable = {draw(st.sampled_from(variables))}",
+            f"sweep.start = {start!r}",
+            f"sweep.stop = {start + draw(st.floats(0.01, 7.0))!r}",
+            f"sweep.steps = {draw(st.integers(8, 24))}",
+        ]
+    return "\n".join(lines) + "\n"
+
+
+def reference_table_bytes(document: str) -> bytes:
+    """The ``run`` or ``sweep`` output of ``document`` rebuilt cell by cell: the outcome
+    strings from ``itertools.product``, outcome x from the column of its primed-port
+    parity, and one ``_fmt`` per cell."""
+    scenario = parse_scenario(document)
+    scheme, spec = scenario.scheme, scenario.sweep
+    n = scheme.n_detected
+    bits = ["".join(b) for b in itertools.product("01", repeat=n)]
+    parities = [x.bit_count() & 1 for x in range(2**n)]
+    if spec is None:
+        table = detected_state(scheme).table()
+        row = table.loss_free[0].tolist()
+        lines = ["outcome,probability"] + [f"{b},{_fmt(row[r])}" for b, r in zip(bits, parities)]
+        lines.append(f"loss,{_fmt(table.lost)}")
+    else:
+        width = (spec.stop - spec.start) / spec.steps
+        grid = [spec.start + k * width for k in range(spec.steps)]
+        table = detected_state(scheme, spec.variable, grid).table()
+        lines = ["phase," + ",".join("P_" + b for b in bits) + ",P_loss"]
+        for phase, row in zip(grid, table.loss_free.tolist()):
+            cells = [_fmt(phase)] + [_fmt(row[r]) for r in parities] + [_fmt(table.lost)]
+            lines.append(",".join(cells))
+    return ("\n".join(lines) + "\n").encode()
+
+
+class TestOutcomeTables:
+    """``run`` and ``sweep`` write their rows from cached per-n port strings and parity
+    columns; their bytes must equal rows rebuilt cell by cell, at sizes no golden covers."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(document=table_documents())
+    def test_rows_match_a_cell_by_cell_rebuild(self, tmp_path_factory, document):
+        work = tmp_path_factory.mktemp("table")
+        scenario, out = work / "table.scenario", work / "table.csv"
+        scenario.write_text(document)
+        command = document.split("\n", 1)[0].removeprefix("command = ")
+        event(command)
+        assert main([command, "--scenario", str(scenario), "--out", str(out)]) == EXIT_OK
+        assert out.read_bytes() == reference_table_bytes(document)
+
+    def test_port_bitstrings_are_one_cached_tuple_in_column_order(self):
+        for k in range(1, MAX_PARTICLES + 1):
+            assert port_bitstrings(k) is port_bitstrings(k)
+            assert port_bitstrings(k) == tuple(map("".join, itertools.product("01", repeat=k)))
 
 
 class TestEntangleCommand:

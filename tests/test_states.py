@@ -38,7 +38,7 @@ from pisim import (
     state_fidelity,
     to_density,
 )
-from pisim.states import EIGENVALUE_FLOOR
+from pisim.states import EIGENVALUE_FLOOR, port_outcomes
 from conftest import random_detector_state, random_mode_state
 
 ROOT_HALF = math.sqrt(0.5)
@@ -607,29 +607,49 @@ class TestDensityMatrixValidation:
         q, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
         matrix = (q * eigenvalues) @ q.conj().T
         matrix = (matrix + matrix.conj().T) / 2
-        basis = tuple((detector(k),) for k in range(1, dim + 1))
+        particles = tuple(range(1, 7))
+        basis = port_outcomes(particles)[:dim]
         if smallest >= EIGENVALUE_FLOOR:
-            assert DensityMatrix((1,), basis, matrix).dim == dim
+            assert DensityMatrix(particles, basis, matrix).dim == dim
         else:
             with pytest.raises(ValidationError) as info:
-                DensityMatrix((1,), basis, matrix)
+                DensityMatrix(particles, basis, matrix)
             assert str(info.value) == f"matrix has negative eigenvalue {smallest:.3e}"
 
     @pytest.mark.parametrize("at", range(3))
     def test_eigenvalue_at_the_floor_accepted_one_ulp_below_rejected(self, at):
         # rho - floor * I then has an exact zero (or negative) pivot, so Cholesky fails
         # and eigvalsh, exact on a diagonal matrix, decides
-        basis = tuple((detector(k),) for k in range(1, 4))
+        basis = port_outcomes((1, 2))[:3]
         below = float(np.nextafter(EIGENVALUE_FLOOR, -1.0))
         for smallest in (EIGENVALUE_FLOOR, below):
             diagonal = [0.5, 0.5 - smallest]
             diagonal.insert(at, smallest)
             matrix = np.diag(np.array(diagonal, dtype=complex))
             if smallest == EIGENVALUE_FLOOR:
-                assert DensityMatrix((1,), basis, matrix).dim == 3
+                assert DensityMatrix((1, 2), basis, matrix).dim == 3
             else:
                 with pytest.raises(ValidationError, match="negative eigenvalue -1.000e-10"):
-                    DensityMatrix((1,), basis, matrix)
+                    DensityMatrix((1, 2), basis, matrix)
+
+    @pytest.mark.parametrize(
+        "kept, basis, slot, carried",
+        [
+            ((1, 2), ((detector(3), detector(4)),), 1, "d3"),
+            ((1, 3), ((detector(1), loss(2)),), 3, "v2"),
+            ((1,), ((detector(1),), (primed_detector(2),)), 1, "d2'"),
+            ((1,), ((detector(1),), (loss(2),), (loss(3),)), 1, "v2"),
+            ((1,), (("d1",),), 1, "d1"),
+        ],
+        ids=["both-slots", "second-slot", "one-row", "first-of-two", "not-a-label"],
+    )
+    def test_basis_label_of_another_particle_rejected(self, kept, basis, slot, carried):
+        with pytest.raises(ValidationError) as info:
+            DensityMatrix(kept, basis, np.eye(len(basis)) / len(basis))
+        assert str(info.value) == (
+            f"basis slot of particle {slot} carries {carried}, "
+            f"which is not a label of particle {slot}"
+        )
 
     def test_unsorted_basis_rejected(self):
         basis = ((primed_detector(1),), (detector(1),))
