@@ -338,7 +338,8 @@ def _cmd_sweep(scenario: Scenario, path: str) -> int:
     grid = [spec.start + k * width for k in range(spec.steps)]
     table = detected_state(scheme, spec.variable, grid).table()
     lost = _fmt(table.lost)
-    for phase, row in zip(grid, table.loss_free.tolist()):
+    for phase, values in zip(grid, table.loss_free):
+        row = values.tolist()
         if not _row_sum_ok(row, table.lost):
             print(f"pisim: probabilities at phase {phase} do not sum to 1", file=sys.stderr)
             return EXIT_NUMERIC

@@ -359,7 +359,7 @@ class DetectedState(NamedTuple):
         turn = (1, -1j, -1, 1j)[n % 4] * np.array([1.0, -1.0])
         weight = np.abs(1.0 + total * self.phase * turn) ** 2 * 0.5 ** (n + 1)
         weight[weight <= AMPLITUDE_EPSILON**2] = 0.0
-        loss_free = weight[:, _parities(n)]
+        loss_free = weight[:, _bit_counts(n) & 1]
         lost = (1.0 - total * total) / 2
         return BranchTable(loss_free, loss_free + lost * 0.5**n, lost)
 
@@ -414,19 +414,20 @@ def detected_state(
 @functools.cache
 def _port_branches(n: int) -> tuple[tuple[Outcome, ...], np.ndarray]:
     """The port basis of particles 1..n and U, P over it, the rows of one read-only array."""
-    r = np.array([x.bit_count() for x in range(2**n)])
+    r = _bit_counts(n)
     branches = np.array((1, 1j, -1, -1j))[np.stack([r, n - r]) % 4] * 0.5 ** (n / 2)
     branches.setflags(write=False)
     return port_outcomes(range(1, n + 1)), branches
 
 
 @functools.cache
-def _parities(n: int) -> np.ndarray:
-    """The parity of the primed ports of each outcome of n particles, in column order, as
-    one read-only array: the column of :meth:`DetectedState.table` that each outcome reads."""
-    parities = np.array([x.bit_count() & 1 for x in range(2**n)])
-    parities.setflags(write=False)
-    return parities
+def _bit_counts(n: int) -> np.ndarray:
+    """The number of primed ports of each outcome of n particles, in column order, as one
+    read-only array: it fixes the factors of :func:`_port_branches`, and its parity the
+    column of :meth:`DetectedState.table` that each outcome reads."""
+    counts = np.array([x.bit_count() for x in range(2**n)])
+    counts.setflags(write=False)
+    return counts
 
 
 _separable_pair = functools.cache(lambda: DetectedState(2, 0.0, np.ones((1, 1))).density())
