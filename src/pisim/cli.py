@@ -320,18 +320,16 @@ def _fmt_all(values: Sequence[float]) -> list[str]:
     return list(map(texts.__getitem__, values))
 
 
-def _cmd_run(scenario: Scenario, path: str) -> int:
+def _cmd_run(scenario: Scenario, _seed: int) -> tuple[list[str], str | None]:
     table = detected_state(scenario.scheme).table()
     row = table.loss_free[0].tolist()
     if not _row_sum_ok(row, table.lost):
-        print("pisim: outcome probabilities do not sum to 1", file=sys.stderr)
-        return EXIT_NUMERIC
+        return [], "outcome probabilities do not sum to 1"
     cells = map(",".join, zip(port_bitstrings(scenario.scheme.n_detected), _fmt_all(row)))
-    _write_lines(path, ["outcome,probability", *cells, f"loss,{_fmt(table.lost)}"])
-    return EXIT_OK
+    return ["outcome,probability", *cells, f"loss,{_fmt(table.lost)}"], None
 
 
-def _cmd_sweep(scenario: Scenario, path: str) -> int:
+def _cmd_sweep(scenario: Scenario, _seed: int) -> tuple[list[str], str | None]:
     scheme, spec = scenario.scheme, scenario.sweep
     lines = ["phase," + ",".join("P_" + b for b in port_bitstrings(scheme.n_detected)) + ",P_loss"]
     width = (spec.stop - spec.start) / spec.steps
@@ -341,14 +339,12 @@ def _cmd_sweep(scenario: Scenario, path: str) -> int:
     for phase, values in zip(grid, table.loss_free):
         row = values.tolist()
         if not _row_sum_ok(row, table.lost):
-            print(f"pisim: probabilities at phase {phase} do not sum to 1", file=sys.stderr)
-            return EXIT_NUMERIC
+            return [], f"probabilities at phase {phase} do not sum to 1"
         lines.append(",".join([_fmt(phase), *_fmt_all(row), lost]))
-    _write_lines(path, lines)
-    return EXIT_OK
+    return lines, None
 
 
-def _cmd_entangle(scenario: Scenario) -> list[str]:
+def _cmd_entangle(scenario: Scenario, _seed: int) -> tuple[list[str], str | None]:
     scheme = scenario.scheme
     n, name = scheme.n_detected, scenario.target
     target = entangled_class_state(_target_class(name, n)) if name else None
@@ -373,7 +369,7 @@ def _cmd_entangle(scenario: Scenario) -> list[str]:
             if value is not None and not -_FIGURE_SLACK <= value <= 1.0 + _FIGURE_SLACK:
                 raise ValidationError(f"{name} must lie in [0, 1], got {value}")
         lines.append(",".join([_fmt(t)] + ["" if v is None else _fmt(v) for v in figures]))
-    return lines
+    return lines, None
 
 
 def _oracle_fidelity(cfg: SchemeConfig) -> float:
@@ -384,7 +380,7 @@ def _oracle_fidelity(cfg: SchemeConfig) -> float:
     return state_fidelity(full_prediction, state)
 
 
-def _cmd_oracle(scenario: Scenario, path: str, seed: int) -> int:
+def _cmd_oracle(scenario: Scenario, seed: int) -> tuple[list[str], str | None]:
     spec = scenario.oracle
     lines = [f"# seed = {seed}", "n_detected,n_aligned,cases,max_infidelity,status"]
     all_pass = True
@@ -400,32 +396,26 @@ def _cmd_oracle(scenario: Scenario, path: str, seed: int) -> int:
             status = "pass" if worst <= ORACLE_TOLERANCE else "fail"
             all_pass = all_pass and status == "pass"
             lines.append(f"{n},{m},{spec.cases},{_fmt(worst)},{status}")
-    _write_lines(path, lines)
-    if not all_pass:
-        print(f"pisim: oracle deviation above {ORACLE_TOLERANCE}; see {path}", file=sys.stderr)
-        return EXIT_NUMERIC
-    return EXIT_OK
+    return lines, None if all_pass else f"oracle deviation above {ORACLE_TOLERANCE}"
 
 
 def execute(scenario: Scenario, out_path: str | None = None, seed: int = DEFAULT_SEED) -> int:
-    """Run a validated scenario and write its output file.
+    """Run a validated scenario, write its lines once, and return the exit status:
+    0 success, 1 validation failure, 2 numerical check failure, 3 I/O failure.
 
-    Returns the process exit status: 0 success, 1 validation failure,
-    2 numerical check failure, 3 I/O failure.
+    Each ``_cmd_*`` takes the scenario and the seed (only oracle-check reads it) and
+    returns its CSV lines and the problem that fails it, if any.  Only oracle-check
+    returns lines with a problem: its report, which the stderr line points to.
     """
     path = out_path or scenario.output_path
     if path is None:
         print("pisim: no output path (set 'output' in the scenario or pass --out)", file=sys.stderr)
         return EXIT_INVALID
     try:
-        if scenario.command == "run":
-            return _cmd_run(scenario, path)
-        if scenario.command == "sweep":
-            return _cmd_sweep(scenario, path)
-        if scenario.command == "entangle":
-            _write_lines(path, _cmd_entangle(scenario))
-            return EXIT_OK
-        return _cmd_oracle(scenario, path, seed)
+        run = (_cmd_run, _cmd_sweep, _cmd_entangle, _cmd_oracle)[COMMANDS.index(scenario.command)]
+        lines, problem = run(scenario, seed)
+        if lines:
+            _write_lines(path, lines)
     except OSError as exc:
         print(f"pisim: cannot write output: {exc}", file=sys.stderr)
         return EXIT_IO
@@ -435,6 +425,10 @@ def execute(scenario: Scenario, out_path: str | None = None, seed: int = DEFAULT
     except PathIdentityError as exc:
         print(f"pisim: {exc}", file=sys.stderr)
         return EXIT_INVALID
+    if problem is None:
+        return EXIT_OK
+    print(f"pisim: {problem}" + (f"; see {path}" if lines else ""), file=sys.stderr)
+    return EXIT_NUMERIC
 
 
 def _arguments(argv: Sequence[str]) -> tuple[str, str, str | None, int] | None:
@@ -475,7 +469,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         with open(scenario_path, "rb") as source:
             text = source.read()
-        scenario = parse_scenario(text.decode("utf-8"))
+        scenario = parse_scenario(text.decode("utf-8-sig"))
     except OSError as exc:
         print(f"pisim: cannot read scenario: {exc}", file=sys.stderr)
         return EXIT_IO

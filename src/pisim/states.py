@@ -331,6 +331,8 @@ class DensityMatrix:
         if not kept or any(kept[i] >= kept[i + 1] for i in range(len(kept) - 1)):
             raise ValidationError("kept_particles must be a nonempty ascending tuple")
         basis = tuple(tuple(o) for o in self.basis)
+        if not basis:
+            raise ValidationError("basis must be nonempty")
         if any(len(o) != len(kept) for o in basis):
             raise ValidationError("every basis outcome must cover exactly the kept particles")
         for particle, column in zip(kept, zip(*basis)):  # each distinct label once

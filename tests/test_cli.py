@@ -945,14 +945,20 @@ class TestOracleCommand:
         assert a.read_bytes() == b.read_bytes()
         assert a.read_text().splitlines()[0] != c.read_text().splitlines()[0]
 
-    def test_deviation_exits_nonzero(self, tmp_path, monkeypatch):
+    def test_deviation_exits_nonzero(self, tmp_path, monkeypatch, capsys):
         import pisim.cli as cli
 
         monkeypatch.setattr(cli, "_oracle_fidelity", lambda cfg: 0.5)
         text = "command = oracle-check\noracle.cases = 1\noracle.max_detected = 1\noracle.max_aligned = 0\n"
         out = tmp_path / "oracle.csv"
+        capsys.readouterr()
         assert execute(parse_scenario(text), out_path=str(out)) == EXIT_NUMERIC
-        assert out.read_text().splitlines()[-1].endswith("fail")
+        assert capsys.readouterr().err == f"pisim: oracle deviation above 1e-09; see {out}\n"
+        assert out.read_text().splitlines() == [
+            "# seed = 42",
+            "n_detected,n_aligned,cases,max_infidelity,status",
+            "1,0,1,0.5,fail",
+        ]
 
 
 class TestMainEntryPoint:
@@ -1028,6 +1034,24 @@ class TestMainEntryPoint:
         err = capsys.readouterr().err
         assert err.startswith("pisim: scenario error: ") and err.count("\n") == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("ends", ["lf", "crlf"])
+    def test_byte_order_mark_is_skipped(self, tmp_path, capsys, ends):
+        """Editors on Windows often start a UTF-8 file with a byte-order mark."""
+        text = (GOLDEN / "run_lossy.scenario").read_bytes().decode("utf-8")
+        if ends == "crlf":
+            text = text.replace("\n", "\r\n")
+        scenario_path, out = tmp_path / "bom.scenario", tmp_path / "out.csv"
+        scenario_path.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+        assert main(["run", "--scenario", str(scenario_path), "--out", str(out)]) == EXIT_OK
+        assert capsys.readouterr().err == ""
+        assert out.read_bytes() == (GOLDEN / "run_lossy.csv").read_bytes()
+
+    def test_byte_order_mark_before_the_command_key(self, tmp_path):
+        scenario_path, out = tmp_path / "bom.scenario", tmp_path / "out.csv"
+        scenario_path.write_bytes(b"\xef\xbb\xbfcommand = run\nscheme.n = 3\nscheme.m = 1\n")
+        assert main(["run", "--scenario", str(scenario_path), "--out", str(out)]) == EXIT_OK
+        assert out.read_text().splitlines()[0] == "outcome,probability"
 
     def test_nul_in_scenario_output_path(self, tmp_path, capsys):
         scenario_path = tmp_path / "case.scenario"

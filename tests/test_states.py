@@ -651,6 +651,11 @@ class TestDensityMatrixValidation:
             f"which is not a label of particle {slot}"
         )
 
+    @pytest.mark.parametrize("kept", [(1,), (1, 2)])
+    def test_empty_basis_rejected(self, kept):
+        with pytest.raises(ValidationError, match="^basis must be nonempty$"):
+            DensityMatrix(kept, (), np.zeros((0, 0)))
+
     def test_unsorted_basis_rejected(self):
         basis = ((primed_detector(1),), (detector(1),))
         with pytest.raises(ValidationError):
