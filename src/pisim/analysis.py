@@ -139,7 +139,8 @@ def fidelity(rho: DensityMatrix, target: PureState) -> float:
         )
     if not target.is_normalized:
         raise NormalizationError("fidelity target must be normalized")
-    vector = np.array([target.amplitude(o) for o in rho.basis], dtype=complex)
+    get = target.amplitudes.get  # the basis outcomes are tuples already
+    vector = np.array([get(o, 0j) for o in rho.basis], dtype=complex)
     return float((vector.conj() @ rho.matrix @ vector).real)
 
 

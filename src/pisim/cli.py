@@ -8,8 +8,10 @@ byte for byte.
 
 from __future__ import annotations
 
+import errno
 import getopt
 import math
+import os
 import sys
 from dataclasses import dataclass
 from typing import Any, Sequence
@@ -405,12 +407,22 @@ def execute(scenario: Scenario, out_path: str | None = None, seed: int = DEFAULT
 
     Each ``_cmd_*`` takes the scenario and the seed (only oracle-check reads it) and
     returns its CSV lines and the problem that fails it, if any.  Only oracle-check
-    returns lines with a problem: its report, which the stderr line points to.
+    returns lines with a problem: its report, which the stderr line points to.  An
+    output directory that does not exist fails at once, before the command runs.
     """
     path = out_path or scenario.output_path
     if path is None:
         print("pisim: no output path (set 'output' in the scenario or pass --out)", file=sys.stderr)
         return EXIT_INVALID
+    head = path.rstrip(os.sep)
+    try:  # the directory that would hold the file: head up to its last separator
+        os.stat(head[: head.rfind(os.sep) + 1] or os.curdir)
+    except FileNotFoundError:  # the error open() would raise once the work is done
+        missing = FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+        print(f"pisim: cannot write output: {missing}", file=sys.stderr)
+        return EXIT_IO
+    except OSError:
+        pass  # any other fault of the directory is left to open()
     try:
         run = (_cmd_run, _cmd_sweep, _cmd_entangle, _cmd_oracle)[COMMANDS.index(scenario.command)]
         lines, problem = run(scenario, seed)

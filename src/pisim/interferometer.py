@@ -284,7 +284,7 @@ def run_scheme(cfg: SchemeConfig) -> PureState:
 
 def detected_particles(psi: PureState) -> tuple[int, ...]:
     """Particles carrying detector labels in every term of ``psi``."""
-    return _detected(zip(*psi.amplitudes))
+    return _detected(psi.slot_labels)
 
 
 def _detected(columns: Iterable[tuple[PathLabel, ...]]) -> tuple[int, ...]:
@@ -313,7 +313,7 @@ class BranchTable(NamedTuple):
 def outcome_probabilities(psi: PureState) -> BranchTable:
     """All coincidence probabilities of ``psi`` as a one-row table, from one pass over
     the labels of each slot; every cell adds its terms in term order."""
-    columns = list(zip(*psi.amplitudes))
+    columns = psi.slot_labels
     detected = _detected(columns)
     if not detected:
         raise ValueError("state has no detected particles")

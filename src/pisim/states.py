@@ -73,26 +73,30 @@ class PathLabel:
     Labels are interned: ``PathLabel(kind, index)`` returns the one instance
     for that pair, so equality and hashing are object identity and outcome
     tuples hash and compare without calling back into Python.  Immutable,
-    ordered by ``(kind, index)``; pickling and copying return the same object.
+    ordered by the ``(kind, index)`` key each label stores once; pickling and
+    copying return the same object.
     """
 
-    __slots__ = ("kind", "index")
+    __slots__ = ("kind", "index", "_key")
     kind: LabelKind
     index: int
 
     def __new__(cls, kind: LabelKind, index: int) -> PathLabel:
+        if type(kind) is LabelKind and type(index) is int:  # a bool or float index is rejected below
+            label = _LABELS.get((kind, index))
+            if label is not None:
+                return label
         if type(kind) is not LabelKind:
             raise ValueError(f"label kind must be a LabelKind member, got {kind!r}")
         if isinstance(index, bool) or not isinstance(index, int) or index < 1:
             raise ValueError(f"label index must be a positive integer, got {index!r}")
-        label = _LABELS.get((kind, index))
-        if label is None:
-            label = object.__new__(cls)
-            object.__setattr__(label, "kind", kind)
-            object.__setattr__(label, "index", index)
-            # setdefault: two threads building one label both get the first instance
-            label = _LABELS.setdefault((kind, index), label)
-        return label
+        key = (kind, index)
+        label = object.__new__(cls)
+        object.__setattr__(label, "kind", kind)
+        object.__setattr__(label, "index", index)
+        object.__setattr__(label, "_key", key)
+        # setdefault: two threads building one label both get the first instance
+        return _LABELS.setdefault(key, label)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r} of an immutable PathLabel")
@@ -106,7 +110,7 @@ class PathLabel:
     def __lt__(self, other: object) -> bool:
         if other.__class__ is not PathLabel:
             return NotImplemented
-        return (self.kind, self.index) < (other.kind, other.index)
+        return self._key < other._key
 
     def __str__(self) -> str:
         return _KIND_GLYPHS[self.kind].format(self.index)
@@ -210,28 +214,17 @@ class PureState:
 
     Immutable after construction; every stored amplitude is finite, with
     magnitude above :data:`AMPLITUDE_EPSILON`.  Build instances with
-    :func:`pure_state_from_terms`.
+    :func:`pure_state_from_terms`; a mapping given here directly is copied.
     """
 
     particle_count: int
     amplitudes: Mapping[Outcome, complex]
 
     def __post_init__(self) -> None:
-        if self.particle_count < 1:
+        if self.particle_count < 1:  # reported before the terms, for an empty mapping too
             raise StructureError("a state needs at least one particle")
-        if not self.amplitudes:
-            raise EmptyStateError("state has no terms")
-        count = self.particle_count
-        for outcome, amp in self.amplitudes.items():
-            if len(outcome) != count:
-                raise StructureError(
-                    f"outcome {format_outcome(outcome)} has {len(outcome)} labels, expected {count}"
-                )
-            if not AMPLITUDE_EPSILON < abs(amp) < math.inf:  # false for NaN too
-                if not cmath.isfinite(amp):
-                    raise ValueError(f"amplitude for {format_outcome(outcome)} is not finite")
-                raise ValueError(f"amplitude {amp!r} is below the pruning threshold")
-        object.__setattr__(self, "amplitudes", MappingProxyType(dict(self.amplitudes)))
+        frozen = _frozen_terms(self.particle_count, dict(self.amplitudes), prune=False)
+        object.__setattr__(self, "amplitudes", frozen)
 
     def amplitude(self, outcome: Outcome) -> complex:
         """Amplitude of ``outcome``; zero when the outcome is absent."""
@@ -244,6 +237,12 @@ class PureState:
     @property
     def term_count(self) -> int:
         return len(self.amplitudes)
+
+    @functools.cached_property
+    def slot_labels(self) -> tuple[tuple[PathLabel, ...], ...]:
+        """The labels of each slot, one per term in term order: ``zip(*amplitudes)``,
+        formed once per state for the routes that read it in turn."""
+        return tuple(zip(*self.amplitudes))
 
     def norm(self) -> float:
         return math.sqrt(sum(abs(a) ** 2 for a in self.amplitudes.values()))
@@ -291,13 +290,46 @@ def pure_state_from_terms(terms: Iterable[tuple[Outcome, complex]]) -> PureState
 
 def pruned_state(particle_count: int, accumulated: dict[Outcome, complex]) -> PureState:
     """The state of the summed ``accumulated`` amplitudes, after deleting from
-    ``accumulated`` those that cancel below :data:`AMPLITUDE_EPSILON`.  A NaN
-    is kept, so that :class:`PureState` rejects it."""
-    for outcome in [o for o, a in accumulated.items() if abs(a) <= AMPLITUDE_EPSILON]:
-        del accumulated[outcome]
-    if not accumulated:
-        raise EmptyStateError("all amplitudes cancelled")
-    return PureState(particle_count, accumulated)
+    ``accumulated`` those that cancel below :data:`AMPLITUDE_EPSILON`; the state
+    keeps ``accumulated`` itself, read-only, so the caller hands it over.  A NaN
+    is kept, and rejected as :class:`PureState` rejects it."""
+    frozen = _frozen_terms(particle_count, accumulated, prune=True)
+    state = object.__new__(PureState)  # _frozen_terms has made the checks of __post_init__
+    object.__setattr__(state, "particle_count", particle_count)
+    object.__setattr__(state, "amplitudes", frozen)
+    return state
+
+
+def _frozen_terms(
+    count: int, amplitudes: dict[Outcome, complex], prune: bool
+) -> Mapping[Outcome, complex]:
+    """``amplitudes`` read-only, after one walk that holds every term to the rule of
+    :class:`PureState`: ``count`` labels and a finite amplitude above
+    :data:`AMPLITUDE_EPSILON`.  With ``prune``, the terms at or below it are deleted
+    first (a NaN is not); then the first term left that breaks the rule raises, or
+    a ``count`` below 1 once some term is left."""
+    cancelled, low, high = [], AMPLITUDE_EPSILON, math.inf
+    for outcome, amp in amplitudes.items():
+        if len(outcome) != count or not low < abs(amp) < high:  # false for NaN too
+            if prune and abs(amp) <= low:
+                cancelled.append(outcome)
+            elif count < 1:
+                break
+            elif len(outcome) != count:
+                raise StructureError(
+                    f"outcome {format_outcome(outcome)} has {len(outcome)} labels, expected {count}"
+                )
+            elif not cmath.isfinite(amp):
+                raise ValueError(f"amplitude for {format_outcome(outcome)} is not finite")
+            else:
+                raise ValueError(f"amplitude {amp!r} is below the pruning threshold")
+    for outcome in cancelled:
+        del amplitudes[outcome]
+    if not amplitudes:
+        raise EmptyStateError("all amplitudes cancelled" if prune else "state has no terms")
+    if count < 1:
+        raise StructureError("a state needs at least one particle")
+    return MappingProxyType(amplitudes)
 
 
 def inner_product(a: PureState, b: PureState) -> complex:
@@ -355,9 +387,12 @@ class DensityMatrix:
             raise ValidationError("matrix has non-finite entries")
         work = matrix.T.copy()  # one buffer: conj(rho^T), then the gap, then rho - floor * I
         np.conjugate(work, out=work)
-        deviation = np.abs(np.subtract(matrix, work, out=work)).max()
-        if deviation > HERMITICITY_TOLERANCE:
-            raise ValidationError(f"matrix is not Hermitian (max deviation {deviation:.3e})")
+        gap = np.subtract(matrix, work, out=work).view(float)  # its real and imaginary parts
+        # |z| <= sqrt(2) max(|Re z|, |Im z|): the magnitudes are needed only above tolerance / 2
+        if np.abs(gap).max() > HERMITICITY_TOLERANCE / 2:
+            deviation = np.abs(work).max()
+            if deviation > HERMITICITY_TOLERANCE:
+                raise ValidationError(f"matrix is not Hermitian (max deviation {deviation:.3e})")
         trace = matrix.trace()
         if abs(trace - 1.0) > TRACE_TOLERANCE:
             raise ValidationError(f"trace is {trace:.15g}, expected 1")
@@ -414,7 +449,7 @@ def to_density(psi: PureState, keep: Iterable[int] | None = None) -> DensityMatr
         raise NormalizationError(f"state norm is {psi.norm():.15g}, expected 1")
     particles = range(1, psi.particle_count + 1)
     keep = tuple(particles) if keep is None else _kept(keep, particles)
-    columns = list(zip(*psi.amplitudes))  # the labels of each slot, one per term
+    columns = psi.slot_labels
     basis = _product_basis([sorted(set(columns[p - 1])) for p in keep])
     index = {o: i for i, o in enumerate(basis)}
     kept = zip(*(columns[p - 1] for p in keep))
@@ -426,7 +461,7 @@ def to_density(psi: PureState, keep: Iterable[int] | None = None) -> DensityMatr
     vectors[
         np.fromiter(map(group.__getitem__, traced), np.intp, psi.term_count),
         np.fromiter(map(index.__getitem__, kept), np.intp, psi.term_count),
-    ] = list(psi.amplitudes.values())
+    ] = np.fromiter(psi.amplitudes.values(), complex, psi.term_count)
     matrix = np.zeros((len(basis), len(basis)), dtype=complex)
     for vector in vectors:
         matrix += np.outer(vector, vector.conj())
@@ -441,13 +476,13 @@ def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
 
     columns = list(zip(*rho.basis))
     kept_parts = list(zip(*(columns[rho.kept_particles.index(p)] for p in keep)))
-    traced_parts = zip(*(c for c, p in zip(columns, rho.kept_particles) if p not in keep))
+    traced_parts = list(zip(*(c for c, p in zip(columns, rho.kept_particles) if p not in keep)))
     new_basis = tuple(sorted(set(kept_parts)))
     new_index = {o: i for i, o in enumerate(new_basis)}
     targets = np.fromiter(map(new_index.__getitem__, kept_parts), np.intp)
 
-    groups: dict[tuple[PathLabel, ...], int] = {}
-    group = np.fromiter((groups.setdefault(t, len(groups)) for t in traced_parts), np.intp)
+    groups = {t: g for g, t in enumerate(dict.fromkeys(traced_parts))}  # by first appearance
+    group = np.fromiter(map(groups.__getitem__, traced_parts), np.intp, len(traced_parts))
     # every (i, j) pair of rows in one group, group by group (in order of first
     # appearance), i then j, each ascending: each cell of the reduced matrix sums
     # its entries in that order

@@ -1181,6 +1181,40 @@ class TestFiles:
         assert printed.out == ""
         assert list((tmp_path / "out").iterdir()) == []
 
+    @pytest.mark.parametrize("out", ["absent/x.csv", "absent/x.csv/", "absent/deeper/x.csv"])
+    def test_missing_output_directory_fails_before_the_command_runs(
+        self, tmp_path, monkeypatch, capsys, out
+    ):
+        import pisim.cli as cli
+
+        def never(*_args):
+            raise AssertionError("the command ran although its output cannot be written")
+
+        monkeypatch.setattr(cli, "_cmd_oracle", never)
+        scenario = tmp_path / "oracle.scenario"
+        scenario.write_text("command = oracle-check\n")
+        path = str(tmp_path / out)
+        assert main(["oracle-check", "--scenario", str(scenario), "--out", path]) == EXIT_IO
+        assert capsys.readouterr().err == (
+            f"pisim: cannot write output: [Errno 2] No such file or directory: {path!r}\n"
+        )
+        assert list(tmp_path.iterdir()) == [scenario]
+
+    def test_missing_output_directory_outranks_a_numerical_fault(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        exact = interferometer.DetectedState.table
+
+        def skewed(state):  # would exit 2 with a writable output
+            table = exact(state)
+            return table._replace(loss_free=table.loss_free * 1.001)
+
+        monkeypatch.setattr(interferometer.DetectedState, "table", skewed)
+        scenario, out = tmp_path / "case.scenario", tmp_path / "absent" / "out.csv"
+        scenario.write_text(CASE_I_RUN)
+        assert main(["run", "--scenario", str(scenario), "--out", str(out)]) == EXIT_IO
+        assert capsys.readouterr().err.startswith("pisim: cannot write output: [Errno 2]")
+
 
 #: Argument lists for ``main``: ``{s}`` is the golden ``run`` scenario, ``{o}`` the
 #: output file and ``{d}`` the test's directory.  "csv" expects the golden CSV at

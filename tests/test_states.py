@@ -38,7 +38,14 @@ from pisim import (
     state_fidelity,
     to_density,
 )
-from pisim.states import EIGENVALUE_FLOOR, port_outcomes
+from pisim.states import (
+    AMPLITUDE_EPSILON,
+    EIGENVALUE_FLOOR,
+    HERMITICITY_TOLERANCE,
+    format_outcome,
+    port_outcomes,
+    pruned_state,
+)
 from conftest import random_detector_state, random_mode_state
 
 ROOT_HALF = math.sqrt(0.5)
@@ -222,6 +229,66 @@ class TestPureStateConstruction:
         psi = PureState(1, {(source_beam(1),): 1.7e308, (primed_source_beam(1),): 1.7e308})
         with pytest.raises(ValueError, match="is not finite"):
             apply_beam_splitter(psi, 1, -math.pi / 2)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        count=st.integers(0, 3),
+        terms=st.lists(
+            st.tuples(
+                st.lists(st.sampled_from([detector(1), primed_detector(2), loss(3)]), max_size=4),
+                st.one_of(
+                    st.sampled_from(
+                        [0j, 1e-15, AMPLITUDE_EPSILON, -AMPLITUDE_EPSILON, 1.5e-14, 0.5j, 1e308,
+                         math.nan, math.inf, -math.inf, complex(math.nan, 1.0),
+                         complex(1.0, math.inf), complex(1e-15, 1e-15)]
+                    ),
+                    st.complex_numbers(max_magnitude=2.0),
+                ),
+            ),
+            max_size=8,
+        ),
+    )
+    def test_one_pass_stage_state_matches_pruning_then_construction(self, count, terms):
+        """``pruned_state`` raises what pruning followed by ``PureState(count, dict(...))``
+        raises, type and message, or gives an equal state with the same term order; so
+        does ``PureState`` of the unpruned mapping.  The reference writes both steps out."""
+
+        def two_steps(accumulated, prune):
+            if prune:
+                for outcome in [o for o, a in accumulated.items() if abs(a) <= AMPLITUDE_EPSILON]:
+                    del accumulated[outcome]
+                if not accumulated:
+                    raise EmptyStateError("all amplitudes cancelled")
+            if count < 1:
+                raise StructureError("a state needs at least one particle")
+            if not accumulated:
+                raise EmptyStateError("state has no terms")
+            for outcome, amp in accumulated.items():
+                if len(outcome) != count:
+                    raise StructureError(
+                        f"outcome {format_outcome(outcome)} has {len(outcome)} labels, "
+                        f"expected {count}"
+                    )
+                if not AMPLITUDE_EPSILON < abs(amp) < math.inf:
+                    if not cmath.isfinite(amp):
+                        raise ValueError(f"amplitude for {format_outcome(outcome)} is not finite")
+                    raise ValueError(f"amplitude {amp!r} is below the pruning threshold")
+            return PureState(count, dict(accumulated))
+
+        def outcome(route, accumulated):
+            try:
+                state = route(dict(accumulated))
+            except Exception as exc:  # noqa: BLE001 - compared by type and message
+                return type(exc), str(exc)
+            return state.particle_count, list(state.amplitudes.items())
+
+        accumulated = {tuple(outcome): complex(amp) for outcome, amp in terms}
+        assert outcome(lambda a: pruned_state(count, a), accumulated) == outcome(
+            lambda a: two_steps(a, prune=True), accumulated
+        )
+        assert outcome(lambda a: PureState(count, a), accumulated) == outcome(
+            lambda a: two_steps(a, prune=False), accumulated
+        )
 
     def test_normalized_copy(self):
         psi = pure_state_from_terms([((detector(1),), 2.0)])
@@ -655,6 +722,20 @@ class TestDensityMatrixValidation:
     def test_empty_basis_rejected(self, kept):
         with pytest.raises(ValidationError, match="^basis must be nonempty$"):
             DensityMatrix(kept, (), np.zeros((0, 0)))
+
+    def test_hermiticity_gap_at_half_the_tolerance_in_each_part_accepted(self):
+        # |Re| = |Im| = tol / 2, the edge of the test on the real and imaginary parts
+        basis = ((detector(1),), (primed_detector(1),))
+        gap = 0.5 * HERMITICITY_TOLERANCE * (1 + 1j)
+        assert DensityMatrix((1,), basis, np.array([[0.5, gap], [0.0, 0.5]])).dim == 2
+
+    def test_hermiticity_gap_above_half_the_tolerance_judged_by_its_magnitude(self):
+        # each part is 0.75 tol, below the tolerance, but |gap| = 0.75 sqrt(2) tol is above it
+        basis = ((detector(1),), (primed_detector(1),))
+        gap = 0.75 * HERMITICITY_TOLERANCE * (1 + 1j)
+        with pytest.raises(ValidationError) as info:
+            DensityMatrix((1,), basis, np.array([[0.5, gap], [0.0, 0.5]]))
+        assert str(info.value) == "matrix is not Hermitian (max deviation 1.061e-12)"
 
     def test_unsorted_basis_rejected(self):
         basis = ((primed_detector(1),), (detector(1),))
