@@ -308,8 +308,14 @@ def parse_scenario(text: str) -> Scenario:
 
 
 def _write_lines(path: str, lines: list[str]) -> None:
-    with open(path, "wb") as out:
-        out.write(("\n".join(lines) + "\n").encode())
+    """Write ``lines`` to ``path`` as open(path, "wb") would, without its buffer layer."""
+    data = memoryview(("\n".join(lines) + "\n").encode())
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+    try:
+        while data:  # os.write may take only part of what it is given
+            data = data[os.write(fd, data) :]
+    finally:
+        os.close(fd)
 
 
 def _row_sum_ok(probabilities: Sequence[float], lost: float) -> bool:
@@ -353,8 +359,7 @@ def _cmd_entangle(scenario: Scenario, _seed: int) -> tuple[list[str], str | None
     sweep = detected_state(scheme, f"theta.{n + 1}", _VISIBILITY_GRID)
     state = detected_state(scheme)  # e^(-i xi) does not depend on t
     totals = [math.prod((t,) * scheme.n_aligned) for t in scenario.entangle_grid]
-    patterns = [sweep._replace(transmission=total).table().marginal[:, 0] for total in totals]
-    visibilities = visibility(_VISIBILITY_GRID, np.array(patterns))
+    visibilities = visibility(_VISIBILITY_GRID, sweep.pattern(totals))
     pair = concurrence(state.pair()) if n != 2 else None  # the same for every T
     columns = ("visibility", "concurrence", "fidelity", "three_tangle")
     lines = ["transmission," + ",".join(columns)]
@@ -376,9 +381,9 @@ def _cmd_entangle(scenario: Scenario, _seed: int) -> tuple[list[str], str | None
 
 def _oracle_fidelity(cfg: SchemeConfig) -> float:
     state = run_scheme(cfg)
-    predicted = predicted_output_state(cfg.n_detected, cfg.xi)
+    predicted = predicted_output_state(cfg.n_detected, cfg.xi)  # terms in port (sorted) order
     tail = tuple(aligned_beam(l) for l in cfg.aligned_range)
-    full_prediction = pure_state_from_terms((o + tail, a) for o, a in predicted.terms())
+    full_prediction = pure_state_from_terms((o + tail, a) for o, a in predicted.amplitudes.items())
     return state_fidelity(full_prediction, state)
 
 
@@ -408,15 +413,16 @@ def execute(scenario: Scenario, out_path: str | None = None, seed: int = DEFAULT
     Each ``_cmd_*`` takes the scenario and the seed (only oracle-check reads it) and
     returns its CSV lines and the problem that fails it, if any.  Only oracle-check
     returns lines with a problem: its report, which the stderr line points to.  An
-    output directory that does not exist fails at once, before the command runs.
+    output directory that does not exist, or an empty ``out_path``, fails at once,
+    before the command runs.
     """
-    path = out_path or scenario.output_path
+    path = scenario.output_path if out_path is None else out_path
     if path is None:
         print("pisim: no output path (set 'output' in the scenario or pass --out)", file=sys.stderr)
         return EXIT_INVALID
     head = path.rstrip(os.sep)
-    try:  # the directory that would hold the file: head up to its last separator
-        os.stat(head[: head.rfind(os.sep) + 1] or os.curdir)
+    try:  # the directory that would hold the file: head up to its last separator; "" has none
+        os.stat((head[: head.rfind(os.sep) + 1] or os.curdir) if path else path)
     except FileNotFoundError:  # the error open() would raise once the work is done
         missing = FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
         print(f"pisim: cannot write output: {missing}", file=sys.stderr)
@@ -479,7 +485,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_OK
     command, scenario_path, out_path, seed = args
     try:
-        with open(scenario_path, "rb") as source:
+        with open(scenario_path, "rb", buffering=0) as source:
             text = source.read()
         scenario = parse_scenario(text.decode("utf-8-sig"))
     except OSError as exc:

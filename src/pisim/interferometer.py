@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import cmath
 import functools
-import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import Iterable, NamedTuple, Sequence
@@ -354,14 +353,27 @@ class DetectedState(NamedTuple):
         ``A = (T e^{i sum theta} U + e^{i(phi0 + sum phi)} P)/sqrt(2)`` with ``U = 2^(-n/2) i^r``,
         ``P = 2^(-n/2) i^(n-r)`` at ``r`` primed ports, plus ``(1 - T^2)/2 |U|^2`` lost;
         ``|A| <= AMPLITUDE_EPSILON`` cancels, as in the engine."""
-        n, total = self.n_detected, self.transmission
+        n = self.n_detected
+        weight, lost = self._weights(self.transmission)
+        loss_free = weight[:, _bit_counts(n) & 1]
+        return BranchTable(loss_free, loss_free + lost * 0.5**n, lost)
+
+    def pattern(self, transmissions: Sequence[float]) -> np.ndarray:
+        """Column 0 of ``table().marginal`` at each of ``transmissions`` in place of T, one
+        row each: the pattern of the unprimed coincidence over the phase column."""
+        weight, lost = self._weights(np.array(transmissions, float).reshape(-1, 1, 1))
+        return weight[..., 0] + lost[:, 0] * 0.5**self.n_detected
+
+    def _weights(self, total: float | np.ndarray) -> tuple[np.ndarray, float | np.ndarray]:
+        """|A|^2 of the outcomes with an even and an odd count of primed ports, one row per
+        phase value, and the lost probability, at T = ``total``: a float, or a (G, 1, 1)
+        array that stacks G such pairs, each value exactly what the float gives."""
+        n = self.n_detected
         # |A|^2 = |1 + T e^(-i xi) i^(2r-n)|^2 / 2^(n+1), r even, odd: flat in xi at T = 0
         turn = (1, -1j, -1, 1j)[n % 4] * np.array([1.0, -1.0])
         weight = np.abs(1.0 + total * self.phase * turn) ** 2 * 0.5 ** (n + 1)
         weight[weight <= AMPLITUDE_EPSILON**2] = 0.0
-        loss_free = weight[:, _bit_counts(n) & 1]
-        lost = (1.0 - total * total) / 2
-        return BranchTable(loss_free, loss_free + lost * 0.5**n, lost)
+        return weight, (1.0 - total * total) / 2
 
     def density(self) -> DensityMatrix:
         """rho over the port basis of particles 1..n; ValueError past ``MAX_DENSITY_DIM``."""
@@ -394,21 +406,26 @@ def detected_state(
 ) -> DetectedState:
     """The :class:`DetectedState` of ``cfg``, T = prod t: one row of e^(-i xi) per ``grid``
     value of the phase ``variable`` (see :meth:`SchemeConfig.phase_slot`), or one for ``cfg``."""
-    row = [cfg.phi0, *cfg.phi, *(-t for t in cfg.theta)]  # xi is the sum of the row
+    n = cfg.n_detected
+    # xi is the sum of the row but its last slot, which holds -0.0 (adds nothing, not
+    # even to a signed zero) for the sum hi and -hi for the remainder lo
+    row = [cfg.phi0, *cfg.phi, *(-t for t in cfg.theta), -0.0]
     slot, values = 0, [cfg.phi0]
     if variable is not None:
         slot = cfg.phase_slot(variable)  # theta.<l> enters xi with a minus sign
-        values = [-v if slot > cfg.n_detected else v for v in grid]
+        values = [-v for v in grid] if slot > n else grid
+    fsum, exp = math.fsum, cmath.exp
     phases = []  # e^(-i xi), xi summed exactly as hi + lo: near a zero |A| is as exact as xi
     for value in values:
         row[slot] = value
+        row[-1] = -0.0
         try:
-            hi = math.fsum(row)
-            lo = math.fsum(itertools.chain(row, (-hi,)))
-            phases.append(cmath.exp(-1j * hi) * cmath.exp(-1j * lo))
+            hi = fsum(row)
+            row[-1] = -hi
+            phases.append(exp(-1j * hi) * exp(-1j * fsum(row)))
         except OverflowError:  # a partial sum past the float range: one e^(-i phase) each
-            phases.append(math.prod(cmath.exp(-1j * v) for v in row))
-    return DetectedState(cfg.n_detected, math.prod(cfg.transmission), np.array(phases)[:, None])
+            phases.append(math.prod(exp(-1j * v) for v in row[:-1]))
+    return DetectedState(n, math.prod(cfg.transmission), np.array(phases)[:, None])
 
 
 @functools.cache

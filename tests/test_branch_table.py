@@ -3,6 +3,8 @@ the CLI prints, the sparse stage-by-stage engine, and the attenuated coincidence
 
 from __future__ import annotations
 
+import cmath
+import itertools
 import math
 
 import numpy as np
@@ -10,9 +12,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pisim import ConfigError, SchemeConfig, outcome_probabilities, run_scheme, sweep_pattern
+from pisim import MAX_PARTICLES, ConfigError, SchemeConfig, outcome_probabilities, run_scheme, sweep_pattern
 from pisim.cli import _fmt
-from pisim.interferometer import detected_state
+from pisim.interferometer import DetectedState, detected_state
+from pisim.states import AMPLITUDE_EPSILON
 from conftest import attenuated_coincidence
 
 #: Where the two routes print different 12-digit texts, the values must lie this
@@ -130,6 +133,116 @@ class TestThreeRoutes:
         table = detected_state(cfg).table()
         assert_matches_engine(cfg, table)
         assert abs(table.loss_free.sum() + table.lost - 1.0) <= 1e-12
+
+
+def parent_phases(cfg: SchemeConfig, variable: str | None, grid) -> np.ndarray:
+    """The phase column of :func:`detected_state` as an earlier loop formed it, one fresh
+    chain per value: the reference its bits must equal."""
+    row = [cfg.phi0, *cfg.phi, *(-t for t in cfg.theta)]
+    slot, values = 0, [cfg.phi0]
+    if variable is not None:
+        slot = cfg.phase_slot(variable)
+        values = [-v if slot > cfg.n_detected else v for v in grid]
+    phases = []
+    for value in values:
+        row[slot] = value
+        try:
+            hi = math.fsum(row)
+            lo = math.fsum(itertools.chain(row, (-hi,)))
+            phases.append(cmath.exp(-1j * hi) * cmath.exp(-1j * lo))
+        except OverflowError:
+            phases.append(math.prod(cmath.exp(-1j * v) for v in row))
+    return np.array(phases)[:, None]
+
+
+def parent_table(state: DetectedState) -> tuple[np.ndarray, np.ndarray, float]:
+    """``DetectedState.table()`` written out as one expression per field: the reference
+    its bits must equal."""
+    n, total = state.n_detected, state.transmission
+    turn = (1, -1j, -1, 1j)[n % 4] * np.array([1.0, -1.0])
+    weight = np.abs(1.0 + total * state.phase * turn) ** 2 * 0.5 ** (n + 1)
+    weight[weight <= AMPLITUDE_EPSILON**2] = 0.0
+    loss_free = weight[:, np.array([x.bit_count() % 2 for x in range(2**n)])]
+    lost = (1.0 - total * total) / 2
+    return loss_free, loss_free + lost * 0.5**n, lost
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+#: Finite phases down to the bit: signed zeros, subnormals, values near the float
+#: limit (where fsum overflows) and the phases at which a parity cancels.
+EXTREME_PHASES = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, 1.7e308, -1.7e308]),
+    st.sampled_from(CANCELLING_XI),
+    st.floats(1.7e308, 1.7976931348623157e308),
+    st.floats(-1.7976931348623157e308, -1.7e308),
+    st.floats(allow_nan=False, allow_infinity=False),
+    PHASES,
+)
+#: Transmissions near 1 too, where |A|^2 at a cancelling phase sits near the floor.
+TABLE_TRANSMISSIONS = TRANSMISSIONS | st.floats(1.0 - 1e-6, 1.0)
+
+
+@st.composite
+def sweeps(draw, max_detected: int = 16, phases=PHASES, max_rows: int = 4):
+    """A scheme, a phase variable of every kind (or none) and its grid of values."""
+    n = draw(st.integers(1, max_detected))
+    m = draw(st.integers(0, MAX_PARTICLES - n))
+    cfg = SchemeConfig(
+        n + m,
+        m,
+        phi0=draw(phases),
+        phi=tuple(draw(phases) for _ in range(n)),
+        theta=tuple(draw(phases) for _ in range(m)),
+    )
+    names = ["phi0"] + [f"phi.{j}" for j in cfg.detected_range]
+    variable = draw(st.sampled_from([None, *names, *(f"theta.{l}" for l in cfg.aligned_range)]))
+    if variable is None:
+        return cfg, None, ()
+    return cfg, variable, draw(st.lists(phases, max_size=max_rows))
+
+
+class TestSameBits:
+    """The two-branch route gives the bits of the expressions written out above."""
+
+    @given(sweep=sweeps(phases=EXTREME_PHASES, max_rows=6))
+    @example(sweep=(SchemeConfig(5, 1, phi=(0.0, 0.0, -1.7e308, 0.0), theta=(0.5,)), None, ()))
+    @example(sweep=(SchemeConfig(3, 1, phi0=-0.0, phi=(-0.0, -0.0)), "theta.3", [0.0, -0.0]))
+    @example(sweep=(SchemeConfig(3, 1, phi0=1.7e308, phi=(1.7e308, 0.0)), "phi.2", [-1.7e308]))
+    @settings(max_examples=300, deadline=None)
+    def test_phase_column_is_the_parent_loop(self, sweep):
+        cfg, variable, grid = sweep
+        column = detected_state(cfg, variable, grid).phase
+        assert same_bits(column, parent_phases(cfg, variable, grid))
+
+    @given(
+        sweep=sweeps(max_detected=12, phases=PHASES | st.sampled_from(CANCELLING_XI)),
+        total=TABLE_TRANSMISSIONS,
+    )
+    @example(sweep=(SchemeConfig(3, 1), "theta.3", list(CANCELLING_XI)), total=1.0)
+    @example(sweep=(SchemeConfig(4, 1), "phi0", [math.pi / 2 + 1e-9]), total=1.0 - 1e-9)
+    @example(sweep=(SchemeConfig(3, 1), None, ()), total=1.0 - 2e-14)  # |A|^2 5e-29, 2e-28:
+    @example(sweep=(SchemeConfig(3, 1), None, ()), total=1.0 - 4e-14)  # either side of the floor
+    @settings(max_examples=200, deadline=None)
+    def test_table_is_the_parent_expression(self, sweep, total):
+        state = detected_state(*sweep)._replace(transmission=total)
+        table = state.table()
+        loss_free, marginal, lost = parent_table(state)
+        assert same_bits(table.loss_free, loss_free) and same_bits(table.marginal, marginal)
+        assert type(table.lost) is float and same_bits(np.array(table.lost), np.array(lost))
+
+    @given(
+        sweep=sweeps(phases=PHASES | st.sampled_from(CANCELLING_XI)),
+        transmissions=st.lists(TABLE_TRANSMISSIONS, min_size=1, max_size=101),
+    )
+    @example(sweep=(SchemeConfig(3, 1), "theta.3", list(CANCELLING_XI)), transmissions=[0.0, 1.0])
+    @settings(max_examples=80, deadline=None)
+    def test_pattern_is_column_zero_of_each_table(self, sweep, transmissions):
+        state = detected_state(*sweep)
+        columns = [state._replace(transmission=t).table().marginal[:, 0] for t in transmissions]
+        assert same_bits(state.pattern(transmissions), np.array(columns))
 
 
 class TestNoDetectedParticle:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import cmath
 import contextlib
+import errno
 import io
 import itertools
 import math
@@ -1214,6 +1215,93 @@ class TestFiles:
         scenario.write_text(CASE_I_RUN)
         assert main(["run", "--scenario", str(scenario), "--out", str(out)]) == EXIT_IO
         assert capsys.readouterr().err.startswith("pisim: cannot write output: [Errno 2]")
+
+
+class TestOutputFile:
+    """The CSV is written through the operating system's own calls, with the flags, mode
+    and error lines of ``open(path, "wb")``."""
+
+    def run_golden(self, tmp_path, out) -> int:
+        scenario = tmp_path / "run.scenario"
+        shutil.copy(GOLDEN / "run_lossy.scenario", scenario)
+        return main(["run", "--scenario", str(scenario), "--out", str(out)])
+
+    @pytest.mark.parametrize(
+        "output_line", ["output = from_scenario.csv\n", ""], ids=["scenario-output", "none"]
+    )
+    def test_empty_out_names_no_file(self, tmp_path, monkeypatch, capsys, output_line):
+        import pisim.cli as cli
+
+        def never(*_args):
+            raise AssertionError("the command ran although its output cannot be written")
+
+        monkeypatch.setattr(cli, "_cmd_run", never)
+        monkeypatch.chdir(tmp_path)  # where the scenario's relative output would land
+        scenario = tmp_path / "case.scenario"
+        scenario.write_text(CASE_I_RUN + output_line)
+        assert main(["run", "--scenario", str(scenario), "--out", ""]) == EXIT_IO
+        assert capsys.readouterr().err == (
+            "pisim: cannot write output: [Errno 2] No such file or directory: ''\n"
+        )
+        assert list(tmp_path.iterdir()) == [scenario]
+
+    def test_short_writes_are_continued(self, tmp_path, monkeypatch):
+        import pisim.cli as cli
+
+        write, calls = os.write, []
+
+        def seven_bytes(fd, data):
+            calls.append(len(data))
+            return write(fd, data[:7])
+
+        monkeypatch.setattr(cli.os, "write", seven_bytes)
+        out = tmp_path / "out.csv"
+        assert self.run_golden(tmp_path, out) == EXIT_OK
+        monkeypatch.undo()
+        golden = (GOLDEN / "run_lossy.csv").read_bytes()
+        assert out.read_bytes() == golden
+        assert calls == list(range(len(golden), 0, -7))
+
+    def test_longer_file_is_truncated(self, tmp_path):
+        out = tmp_path / "out.csv"
+        out.write_bytes(b"x" * 100_000)
+        assert self.run_golden(tmp_path, out) == EXIT_OK
+        assert out.read_bytes() == (GOLDEN / "run_lossy.csv").read_bytes()
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
+    def test_new_file_mode_is_that_of_open(self, tmp_path, umask):
+        out, reference = tmp_path / "out.csv", tmp_path / "reference.csv"
+        previous = os.umask(umask)
+        try:
+            open(reference, "wb").close()
+            assert self.run_golden(tmp_path, out) == EXIT_OK
+        finally:
+            os.umask(previous)
+        assert os.stat(out).st_mode == os.stat(reference).st_mode
+
+    def test_directory_exits_io(self, tmp_path, capsys):
+        out = tmp_path / "directory"
+        out.mkdir()
+        assert self.run_golden(tmp_path, out) == EXIT_IO
+        reason = f"[Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}: {str(out)!r}"
+        assert capsys.readouterr().err == f"pisim: cannot write output: {reason}\n"
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    def test_full_device_exits_io(self, tmp_path, capsys):
+        assert self.run_golden(tmp_path, "/dev/full") == EXIT_IO
+        reason = f"[Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"
+        assert capsys.readouterr().err == f"pisim: cannot write output: {reason}\n"
+
+    @pytest.mark.skipif(not hasattr(os, "geteuid") or os.geteuid() == 0, reason="root writes")
+    def test_read_only_file_exits_io(self, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        out.write_bytes(b"kept")
+        out.chmod(0o444)
+        assert self.run_golden(tmp_path, out) == EXIT_IO
+        reason = f"[Errno {errno.EACCES}] {os.strerror(errno.EACCES)}: {str(out)!r}"
+        assert capsys.readouterr().err == f"pisim: cannot write output: {reason}\n"
+        assert out.read_bytes() == b"kept"
 
 
 #: Argument lists for ``main``: ``{s}`` is the golden ``run`` scenario, ``{o}`` the

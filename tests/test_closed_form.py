@@ -135,6 +135,15 @@ class TestPortOrder:
             assert {j for j, c in enumerate(bits) if c == "1"} == primed
             assert {j for j, c in enumerate(bits) if c == "0"} == unprimed
 
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_column_order_is_the_sorted_order(self, n):
+        # so oracle-check reads the predicted terms in dict order, with no sort
+        outcomes = port_outcomes(range(1, n + 1))
+        assert outcomes == tuple(sorted(outcomes))
+        for xi in (0.0, 0.3, math.pi / 2):  # some xi prune one parity
+            predicted = predicted_output_state(n, xi)
+            assert list(predicted.amplitudes.items()) == predicted.terms()
+
     def test_particles_keep_their_labels(self):
         d2, d4, p2, p4 = detector(2), detector(4), primed_detector(2), primed_detector(4)
         assert port_outcomes((2, 4)) == ((d2, d4), (d2, p4), (p2, d4), (p2, p4))
