@@ -5,10 +5,11 @@ beam-splitter stages, and checks the resulting interference patterns and
 entangled states against their closed-form predictions.
 """
 
+from types import ModuleType as _ModuleType
+
 from .analysis import (
     concurrence,
     fidelity,
-    one_to_rest_concurrence,
     pure_state_from_density,
     sweep_pattern,
     three_tangle,
@@ -40,6 +41,7 @@ from .errors import (
 from .interferometer import (
     MAX_PARTICLES,
     BranchTable,
+    DetectedState,
     DetectionOutcome,
     SchemeConfig,
     apply_beam_splitter,
@@ -47,6 +49,7 @@ from .interferometer import (
     build_two_source_state,
     conditional_detected_state,
     detected_particles,
+    detected_state,
     detection_table,
     joint_probability,
     outcome_probabilities,
@@ -60,7 +63,6 @@ from .states import (
     PathLabel,
     PureState,
     aligned_beam,
-    density_from_mixture,
     detector,
     detector_outcome,
     inner_product,
@@ -76,63 +78,9 @@ from .states import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AMPLITUDE_EPSILON",
-    "BranchTable",
-    "ConfigError",
-    "DensityMatrix",
-    "DetectionOutcome",
-    "EmptyStateError",
-    "EntangledClass",
-    "EntangledClassId",
-    "LabelKind",
-    "MAX_PARTICLES",
-    "NormalizationError",
-    "Outcome",
-    "PathIdentityError",
-    "PathLabel",
-    "PureState",
-    "ScenarioParseError",
-    "SchemeConfig",
-    "StageOrderError",
-    "StructureError",
-    "ValidationError",
-    "VisibilityUndefinedError",
-    "aligned_beam",
-    "apply_beam_splitter",
-    "apply_path_identity",
-    "bell_phi_minus",
-    "bell_psi_plus",
-    "build_two_source_state",
-    "concurrence",
-    "conditional_detected_state",
-    "density_from_mixture",
-    "detected_particles",
-    "detection_table",
-    "detector",
-    "detector_outcome",
-    "dicke_state",
-    "entangled_class_state",
-    "fidelity",
-    "ghz_class_three",
-    "inner_product",
-    "joint_probability",
-    "loss",
-    "one_to_rest_concurrence",
-    "outcome_probabilities",
-    "partial_trace",
-    "predicted_output_state",
-    "predicted_probability",
-    "primed_detector",
-    "primed_source_beam",
-    "pure_state_from_density",
-    "pure_state_from_terms",
-    "run_scheme",
-    "source_beam",
-    "state_fidelity",
-    "sweep_pattern",
-    "three_tangle",
-    "to_density",
-    "visibility",
-    "xi_for_class",
-]
+#: Every name imported above; the imports also bind the submodules, which are left out.
+__all__ = sorted(
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

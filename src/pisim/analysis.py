@@ -90,25 +90,6 @@ def concurrence(rho: DensityMatrix) -> float:
     return float(value) if value > CONCURRENCE_FLOOR else 0.0
 
 
-def one_to_rest_concurrence(psi: PureState, particle: int) -> float:
-    """Concurrence of one particle with the rest, ``2 s1 s2`` from the singular values of its
-    2 x k amplitude matrix (rows its port bits, columns the other particles' distinct label
-    tuples, at least two): no root of rounding noise; at or below CONCURRENCE_FLOOR it is 0."""
-    if not psi.is_normalized:
-        raise NormalizationError(f"state norm is {psi.norm():.15g}, expected 1")
-    if particle not in range(1, psi.particle_count + 1):
-        raise ValueError(f"particles {[particle]} are not part of this state")
-    slot = particle - 1
-    rows = port_columns([[outcome[slot] for outcome in psi.amplitudes]], (particle,))
-    rest: dict[tuple, int] = {}
-    columns = [rest.setdefault(o[:slot] + o[slot + 1 :], len(rest)) for o in psi.amplitudes]
-    matrix = np.zeros((2, max(2, len(rest))), dtype=complex)
-    matrix[rows, columns] = list(psi.amplitudes.values())
-    s1, s2 = np.linalg.svd(matrix, compute_uv=False)
-    value = 2.0 * s1 * s2
-    return float(value) if value > CONCURRENCE_FLOOR else 0.0
-
-
 def three_tangle(psi: PureState) -> float:
     """Three-tangle of a pure three-particle detector-port state.
 

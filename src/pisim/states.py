@@ -497,30 +497,3 @@ def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
     reduced = np.zeros((len(new_basis), len(new_basis)), dtype=complex)
     np.add.at(reduced, (targets[i], targets[j]), rho.matrix[i, j])
     return DensityMatrix(keep, new_basis, reduced)
-
-
-def density_from_mixture(components: Iterable[tuple[float, PureState]]) -> DensityMatrix:
-    """Convex mixture ``sum_k w_k |psi_k><psi_k|`` of normalized pure states."""
-    components = list(components)
-    if not components:
-        raise ValueError("mixture needs at least one component")
-    weights = [float(w) for w, _ in components]
-    if any(w < -AMPLITUDE_EPSILON for w in weights):
-        raise ValueError("mixture weights must be nonnegative")
-    if abs(sum(weights) - 1.0) > TRACE_TOLERANCE:
-        raise ValueError(f"mixture weights sum to {sum(weights):.15g}, expected 1")
-    count = components[0][1].particle_count
-    label_sets: list[set[PathLabel]] = [set() for _ in range(count)]
-    for _, psi in components:
-        if psi.particle_count != count:
-            raise StructureError("mixture components must share a particle count")
-        if not psi.is_normalized:
-            raise NormalizationError("mixture components must be normalized")
-        for p in range(1, count + 1):
-            label_sets[p - 1].update(psi.particle_labels(p))
-    basis = _product_basis([sorted(s) for s in label_sets])
-    matrix = np.zeros((len(basis), len(basis)), dtype=complex)
-    for weight, psi in components:
-        vector = np.array([psi.amplitude(o) for o in basis], dtype=complex)
-        matrix += weight * np.outer(vector, vector.conj())
-    return DensityMatrix(tuple(range(1, count + 1)), basis, matrix)

@@ -24,7 +24,6 @@ from pisim import (
     entangled_class_state,
     fidelity,
     joint_probability,
-    one_to_rest_concurrence,
     partial_trace,
     predicted_output_state,
     pure_state_from_density,
@@ -36,7 +35,7 @@ from pisim import (
     visibility,
     xi_for_class,
 )
-from conftest import case_i
+from conftest import case_i, one_to_rest_concurrence
 
 FULL_TURN = [k * math.tau / 64 for k in range(64)]
 T3_GRID = [k / 10 for k in range(11)]

@@ -26,13 +26,11 @@ from pisim import (
     entangled_class_state,
     concurrence,
     conditional_detected_state,
-    density_from_mixture,
     detector,
     detector_outcome,
     fidelity,
     ghz_class_three,
     loss,
-    one_to_rest_concurrence,
     partial_trace,
     primed_detector,
     pure_state_from_density,
@@ -47,7 +45,7 @@ from pisim import (
 from pisim.analysis import CONCURRENCE_FLOOR, _computational_matrix
 from pisim.interferometer import detected_state
 from pisim.states import port_outcomes
-from conftest import case_i, random_detector_state
+from conftest import case_i, density_from_mixture, one_to_rest_concurrence, random_detector_state
 
 FULL_TURN = [k * math.tau / 64 for k in range(64)]
 T3_GRID = [k / 10 for k in range(11)]

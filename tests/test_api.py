@@ -1,17 +1,20 @@
-"""Every exported name resolves, every function the benchmark trace wraps exists, and no
-module imports another's private names."""
+"""Every exported name resolves, the public names are the live routes and no test-only
+reference, every function the benchmark trace wraps exists, and no module imports another's
+private names."""
 
 from __future__ import annotations
 
 import ast
 import importlib
 import importlib.util
+import inspect
 import sys
 from pathlib import Path
 
 import pytest
 
 import pisim
+from pisim import interferometer
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "pisim").glob("*.py"))
@@ -33,6 +36,37 @@ def _traced_functions() -> list[tuple[str, str]]:
 @pytest.mark.parametrize("name", pisim.__all__)
 def test_exported_name_resolves(name):
     assert hasattr(pisim, name)
+
+
+def test_live_route_is_exported():
+    assert pisim.DetectedState is interferometer.DetectedState
+    assert pisim.detected_state is interferometer.detected_state
+    assert {"DetectedState", "detected_state"} <= set(pisim.__all__)
+
+
+@pytest.mark.parametrize("name", ["density_from_mixture", "one_to_rest_concurrence"])
+def test_test_only_reference_route_is_not_in_the_library(name):
+    assert not hasattr(pisim, name)
+    defined = [
+        path.name
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name == name
+    ]
+    assert defined == []
+
+
+def test_public_names_are_sorted_and_unique():
+    assert pisim.__all__ == sorted(set(pisim.__all__))
+
+
+def test_public_names_hold_no_submodule_and_no_private_name():
+    hidden = [
+        name
+        for name in pisim.__all__
+        if name.startswith("_") or inspect.ismodule(getattr(pisim, name, None))
+    ]
+    assert hidden == []
 
 
 @pytest.mark.parametrize("module,name", _traced_functions())

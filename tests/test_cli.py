@@ -26,6 +26,7 @@ from pisim import (
     ScenarioParseError,
     SchemeConfig,
     ValidationError,
+    VisibilityUndefinedError,
     bell_phi_minus,
     bell_psi_plus,
     detector,
@@ -761,6 +762,19 @@ class TestEntangleCommand:
         assert by_t[0.5][4] == ""  # mixed state, tangle undefined
         assert float(by_t[1.0][4]) == pytest.approx(1.0, abs=1e-9)
 
+    @pytest.mark.parametrize("point", ["-0.1", "1.5", "nan"])
+    def test_grid_point_outside_the_unit_interval_is_rejected(self, tmp_path, capsys, point):
+        scenario, out = tmp_path / "ent.scenario", tmp_path / "ent.csv"
+        scenario.write_text(
+            f"command = entangle\nscheme.n = 3\nscheme.m = 1\nentangle.grid = 0.5,{point}\n"
+        )
+        assert main(["entangle", "--scenario", str(scenario), "--out", str(out)]) == EXIT_INVALID
+        assert capsys.readouterr().err == (
+            "pisim: scenario error: line 4, key 'entangle.grid': "
+            "grid transmissions must lie in [0, 1]\n"
+        )
+        assert not out.exists()
+
     def test_entangle_needs_alignment(self):
         with pytest.raises(ScenarioParseError, match="aligned"):
             parse_scenario("command = entangle\nscheme.n = 2\nscheme.m = 0\n")
@@ -887,6 +901,20 @@ class TestNumericalFailures:
         capsys.readouterr()
         assert main([command, "--scenario", str(scenario), "--out", str(out)]) == EXIT_NUMERIC
         assert capsys.readouterr().err == message
+        assert not out.exists()
+
+    def test_other_library_error_exits_invalid(self, tmp_path, monkeypatch, capsys):
+        import pisim.cli as cli
+
+        def undefined(_phases, _samples):
+            raise VisibilityUndefinedError("injected failure")
+
+        monkeypatch.setattr(cli, "visibility", undefined)
+        scenario, out = tmp_path / "ent.scenario", tmp_path / "ent.csv"
+        scenario.write_text("command = entangle\nscheme.n = 3\nscheme.m = 1\nentangle.grid = 1\n")
+        capsys.readouterr()
+        assert main(["entangle", "--scenario", str(scenario), "--out", str(out)]) == EXIT_INVALID
+        assert capsys.readouterr().err == "pisim: injected failure\n"
         assert not out.exists()
 
     def test_entanglement_figure_out_of_range_exits_numeric(self, tmp_path, monkeypatch):

@@ -26,7 +26,6 @@ from pisim import (
     bell_psi_plus,
     build_two_source_state,
     conditional_detected_state,
-    density_from_mixture,
     detected_particles,
     detection_table,
     detector,
@@ -47,7 +46,7 @@ from pisim.analysis import pure_state_from_density, three_tangle
 from pisim.closed_form import predicted_output_state
 from pisim.interferometer import DetectedState, detected_state
 from pisim.states import MAX_DENSITY_DIM, port_columns, port_outcomes
-from conftest import assert_states_close, attenuated_coincidence, case_i
+from conftest import assert_states_close, attenuated_coincidence, case_i, density_from_mixture
 
 ROOT_HALF = math.sqrt(0.5)
 
@@ -214,6 +213,12 @@ class TestApplyPathIdentity:
         with pytest.raises(ValueError):
             apply_path_identity(self._emission(), 3, 0.0, 1.2)
 
+    @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+    def test_non_finite_theta_rejected(self, theta):
+        with pytest.raises(ValueError) as info:
+            apply_path_identity(self._emission(), 3, theta, 1.0)
+        assert str(info.value) == "theta must be finite"
+
     def test_double_alignment_rejected(self):
         once = apply_path_identity(self._emission(), 3, 0.0, 0.9)
         with pytest.raises(StageOrderError, match="already aligned"):
@@ -259,6 +264,13 @@ class TestApplyBeamSplitter:
                 apply_beam_splitter(a, 1, 0.7), apply_beam_splitter(b, 1, 0.7)
             )
             assert after == pytest.approx(before, abs=1e-12)
+
+    @pytest.mark.parametrize("phi", [math.nan, math.inf, -math.inf])
+    def test_non_finite_phi_rejected(self, phi):
+        psi = pure_state_from_terms([((source_beam(1),), 1.0)])
+        with pytest.raises(ValueError) as info:
+            apply_beam_splitter(psi, 1, phi)
+        assert str(info.value) == "phi must be finite"
 
     def test_double_splitting_rejected(self):
         psi = pure_state_from_terms([((source_beam(1),), 1.0)])
@@ -540,6 +552,25 @@ class TestJointProbability:
         with pytest.raises(ValueError) as info:
             DetectionOutcome(ports)
         assert str(info.value) == f"ports must be 0 or 1, got {ports}"
+
+    def test_outcome_needs_a_port(self):
+        with pytest.raises(ValueError) as info:
+            DetectionOutcome(())
+        assert str(info.value) == "a detection outcome needs at least one port"
+
+    @pytest.mark.parametrize("n_detected", [0, -1])
+    def test_all_outcomes_needs_a_detected_particle(self, n_detected):
+        with pytest.raises(ValueError) as info:
+            DetectionOutcome.all_outcomes(n_detected)
+        assert str(info.value) == "n_detected must be >= 1"
+
+    def test_slot_mixing_detector_and_other_labels_rejected(self):
+        psi = pure_state_from_terms(
+            [((detector(1),), ROOT_HALF), ((aligned_beam(1),), ROOT_HALF)]
+        )
+        with pytest.raises(StructureError) as info:
+            detected_particles(psi)
+        assert str(info.value) == "particle 1 mixes detector and non-detector labels"
 
     def test_integral_ports_are_stored_as_int(self):
         outcome = DetectionOutcome((True, 0.0, np.int64(1)))

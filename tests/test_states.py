@@ -25,7 +25,6 @@ from pisim import (
     ValidationError,
     aligned_beam,
     apply_beam_splitter,
-    density_from_mixture,
     detector,
     inner_product,
     loss,
@@ -42,11 +41,12 @@ from pisim.states import (
     AMPLITUDE_EPSILON,
     EIGENVALUE_FLOOR,
     HERMITICITY_TOLERANCE,
+    MAX_DENSITY_DIM,
     format_outcome,
     port_outcomes,
     pruned_state,
 )
-from conftest import random_detector_state, random_mode_state
+from conftest import density_from_mixture, random_detector_state, random_mode_state
 
 ROOT_HALF = math.sqrt(0.5)
 
@@ -184,6 +184,21 @@ class TestPureStateConstruction:
             pure_state_from_terms(
                 [((source_beam(1),), 1.0), ((source_beam(1), source_beam(2)), 1.0)]
             )
+
+    @pytest.mark.parametrize("particle", [0, 3])
+    def test_particle_labels_out_of_range_rejected(self, particle):
+        psi = pure_state_from_terms([((detector(1), detector(2)), 1.0)])
+        with pytest.raises(ValueError) as info:
+            psi.particle_labels(particle)
+        assert str(info.value) == f"particle {particle} out of range 1..2"
+
+    def test_repr_shows_four_terms_then_an_ellipsis(self):
+        ports = [(detector(p), primed_detector(p)) for p in (1, 2, 3)]
+        psi = pure_state_from_terms((o, 1.0) for o in itertools.product(*ports)).normalized()
+        assert repr(psi) == (
+            "PureState((0.3536+0j)|d1 d2 d3> + (0.3536+0j)|d1 d2 d3'> + "
+            "(0.3536+0j)|d1 d2' d3> + (0.3536+0j)|d1 d2' d3'> + ...)"
+        )
 
     def test_two_source_emission_state(self):
         phi0 = 0.8
@@ -388,6 +403,22 @@ class TestToDensity:
         psi = pure_state_from_terms([((detector(1),), 0.5)])
         with pytest.raises(NormalizationError):
             to_density(psi)
+
+    def test_basis_over_the_cap_rejected_before_any_matrix(self, monkeypatch):
+        psi = run_scheme(SchemeConfig(13, 0))  # 2^13 = 8,192 port outcomes
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a matrix was allocated before the cap was checked")
+
+        with monkeypatch.context() as patch, pytest.raises(ValueError) as info:
+            patch.setattr(np, "zeros", refuse)
+            to_density(psi)
+        assert str(info.value) == (
+            f"density matrix basis would have 8192 states (cap {MAX_DENSITY_DIM})"
+        )
+
+    def test_repr(self):
+        assert repr(to_density(bell_psi_plus())) == "DensityMatrix(particles=(1, 2), dim=4)"
 
     def test_full_transmission_output_is_rank_one(self):
         # Hand expansion of the attenuated three-particle output at T=1 and
@@ -718,6 +749,26 @@ class TestDensityMatrixValidation:
             f"which is not a label of particle {slot}"
         )
 
+    @pytest.mark.parametrize(
+        "kept, basis, matrix, message",
+        [
+            ((2, 1), ((detector(2), detector(1)),), np.eye(1),
+             "kept_particles must be a nonempty ascending tuple"),
+            ((1, 1), ((detector(1), detector(1)),), np.eye(1),
+             "kept_particles must be a nonempty ascending tuple"),
+            ((), ((),), np.eye(1), "kept_particles must be a nonempty ascending tuple"),
+            ((1, 2), ((detector(1),), (primed_detector(1),)), np.eye(2) / 2,
+             "every basis outcome must cover exactly the kept particles"),
+            ((1,), ((detector(1),), (primed_detector(1),)), np.eye(3) / 3,
+             "matrix shape (3, 3) does not match basis size 2"),
+        ],
+        ids=["descending", "repeated", "no-particle", "short-outcome", "matrix-shape"],
+    )  # fmt: skip
+    def test_shapes_that_do_not_fit_rejected(self, kept, basis, matrix, message):
+        with pytest.raises(ValidationError) as info:
+            DensityMatrix(kept, basis, matrix)
+        assert str(info.value) == message
+
     @pytest.mark.parametrize("kept", [(1,), (1, 2)])
     def test_empty_basis_rejected(self, kept):
         with pytest.raises(ValidationError, match="^basis must be nonempty$"):
@@ -762,6 +813,33 @@ class TestDensityMatrixValidation:
 
 
 class TestDensityFromMixture:
+    @pytest.mark.parametrize(
+        "components, error, message",
+        [
+            ([], ValueError, "mixture needs at least one component"),
+            (
+                [(1.5, bell_psi_plus()), (-0.5, bell_phi_minus())],
+                ValueError,
+                "mixture weights must be nonnegative",
+            ),
+            (
+                [(0.5, bell_psi_plus()), (0.5, pure_state_from_terms([((detector(1),), 1.0)]))],
+                StructureError,
+                "mixture components must share a particle count",
+            ),
+            (
+                [(1.0, pure_state_from_terms([((detector(1), detector(2)), 0.5)]))],
+                NormalizationError,
+                "mixture components must be normalized",
+            ),
+        ],
+        ids=["empty", "negative-weight", "particle-counts", "unnormalized"],
+    )
+    def test_input_errors(self, components, error, message):
+        with pytest.raises(error) as info:
+            density_from_mixture(components)
+        assert str(info.value) == message
+
     def test_weights_must_sum_to_one(self):
         with pytest.raises(ValueError):
             density_from_mixture([(0.6, bell_psi_plus()), (0.6, bell_phi_minus())])
