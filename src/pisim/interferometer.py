@@ -360,8 +360,13 @@ class DetectedState(NamedTuple):
 
     def pattern(self, transmissions: Sequence[float]) -> np.ndarray:
         """Column 0 of ``table().marginal`` at each of ``transmissions`` in place of T, one
-        row each: the pattern of the unprimed coincidence over the phase column."""
-        weight, lost = self._weights(np.array(transmissions, float).reshape(-1, 1, 1))
+        row each: the pattern of the unprimed coincidence over the phase column.  A
+        transmission outside [0, 1], NaN included, is a ValueError."""
+        total = np.array(transmissions, float).reshape(-1, 1, 1)
+        inside = (total >= 0.0) & (total <= 1.0)
+        if not inside.all():
+            raise ValueError(f"transmission must lie in [0, 1], got {total[~inside][0]}")
+        weight, lost = self._weights(total)
         return weight[..., 0] + lost[:, 0] * 0.5**self.n_detected
 
     def _weights(self, total: float | np.ndarray) -> tuple[np.ndarray, float | np.ndarray]:
@@ -405,14 +410,23 @@ def detected_state(
     cfg: SchemeConfig, variable: str | None = None, grid: Sequence[float] = ()
 ) -> DetectedState:
     """The :class:`DetectedState` of ``cfg``, T = prod t: one row of e^(-i xi) per ``grid``
-    value of the phase ``variable`` (see :meth:`SchemeConfig.phase_slot`), or one for ``cfg``."""
+    value of the phase ``variable`` (see :meth:`SchemeConfig.phase_slot`), or one for ``cfg``.
+    A non-finite grid value is a ConfigError naming ``variable``, as in :class:`SchemeConfig`;
+    a grid without a variable is a ValueError."""
     n = cfg.n_detected
     # xi is the sum of the row but its last slot, which holds -0.0 (adds nothing, not
     # even to a signed zero) for the sum hi and -hi for the remainder lo
     row = [cfg.phi0, *cfg.phi, *(-t for t in cfg.theta), -0.0]
     slot, values = 0, [cfg.phi0]
-    if variable is not None:
+    if variable is None:
+        if len(grid):
+            raise ValueError("a grid needs a phase variable")
+    else:
         slot = cfg.phase_slot(variable)  # theta.<l> enters xi with a minus sign
+        for value in grid:
+            if not math.isfinite(value):
+                message = f"{variable} must be a finite number, got {value!r}"
+                raise ConfigError(message, field=variable)
         values = [-v for v in grid] if slot > n else grid
     fsum, exp = math.fsum, cmath.exp
     phases = []  # e^(-i xi), xi summed exactly as hi + lo: near a zero |A| is as exact as xi

@@ -1,6 +1,6 @@
 """Every exported name resolves, the public names are the live routes and no test-only
-reference, every function the benchmark trace wraps exists, and no module imports another's
-private names."""
+reference, every function the benchmark trace wraps and every attribute the benchmark reads
+outside its trace exists, and no module imports another's private names."""
 
 from __future__ import annotations
 
@@ -72,6 +72,35 @@ def test_public_names_hold_no_submodule_and_no_private_name():
 @pytest.mark.parametrize("module,name", _traced_functions())
 def test_traced_function_exists(module, name):
     assert callable(getattr(importlib.import_module(f"pisim.{module}"), name, None))
+
+
+def _read_outside_traced() -> dict[str, object]:
+    cfg = interferometer.SchemeConfig(3, 1)
+    state = interferometer.run_scheme(cfg)
+    return {
+        "SchemeConfig": cfg,
+        "PureState": state,
+        "DetectionOutcome": next(iter(interferometer.detection_table(state)[0])),
+        "DensityMatrix": interferometer.conditional_detected_state(state),
+    }
+
+
+@pytest.mark.parametrize(
+    "owner, name",
+    [
+        ("PureState", "term_count"),  # perfbench/ladder.py:81 and spans.py:97
+        ("PureState", "particle_count"),  # perfbench/ladder.py:83
+        ("PureState", "particle_labels"),  # perfbench/ladder.py:83
+        ("DetectionOutcome", "ports"),  # perfbench/ladder.py:110
+        ("SchemeConfig", "n_detected"),  # perfbench/spans.py:98 and workload.py:238
+        ("DensityMatrix", "dim"),  # perfbench/spans.py:102
+        ("SchemeConfig", "xi"),  # perfbench/workload.py:238
+    ],
+    ids=lambda value: value,
+)
+def test_name_the_benchmark_reads_outside_traced_exists(owner, name):
+    value = _read_outside_traced()[owner]
+    assert type(value).__name__ == owner and hasattr(value, name)
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)

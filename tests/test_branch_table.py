@@ -14,7 +14,12 @@ from hypothesis import strategies as st
 
 from pisim import MAX_PARTICLES, ConfigError, SchemeConfig, outcome_probabilities, run_scheme, sweep_pattern
 from pisim.cli import _fmt
-from pisim.interferometer import DetectedState, detected_state
+from pisim.interferometer import (
+    DetectedState,
+    apply_path_identity,
+    build_two_source_state,
+    detected_state,
+)
 from pisim.states import AMPLITUDE_EPSILON
 from conftest import attenuated_coincidence
 
@@ -279,3 +284,32 @@ class TestNoDetectedParticle:
         with pytest.raises(ConfigError, match="needs a detected particle") as info:
             call(SchemeConfig(**sizes))
         assert info.value.field == "m"
+
+
+class TestRejectedInputs:
+    """The two-branch route refuses what the engine route refuses, in the engine's words."""
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("variable", ["phi0", "phi.2", "theta.3"])
+    def test_non_finite_grid_value_is_named_under_its_variable(self, variable, value):
+        message = f"{variable} must be a finite number, got {value!r}"
+        for route in (detected_state, sweep_pattern):
+            with pytest.raises(ConfigError) as info:
+                route(SchemeConfig(3, 1), variable, [0.5, value])
+            assert (str(info.value), info.value.field) == (message, variable)
+
+    @pytest.mark.parametrize("grid", [[0.5], [0.5, 1.0]])
+    def test_grid_without_a_variable_is_rejected(self, grid):
+        with pytest.raises(ValueError, match="^a grid needs a phase variable$"):
+            detected_state(SchemeConfig(3, 1), None, grid)
+
+    @pytest.mark.parametrize("value", [1.5, -0.1, math.nan, math.inf])
+    def test_pattern_transmission_outside_the_unit_interval(self, value):
+        message = f"transmission must lie in [0, 1], got {value}"
+        state = detected_state(SchemeConfig(3, 1))
+        with pytest.raises(ValueError) as info:
+            state.pattern([0.5, value, 1.0])
+        assert str(info.value) == message
+        with pytest.raises(ValueError) as info:
+            apply_path_identity(build_two_source_state(SchemeConfig(3, 1)), 3, 0.0, value)
+        assert str(info.value) == message

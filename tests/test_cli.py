@@ -11,13 +11,16 @@ import math
 import os
 import re
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
+import pisim
 from pisim import (
     DensityMatrix,
     EntangledClass,
@@ -39,6 +42,7 @@ from pisim import (
     run_scheme,
 )
 from pisim.cli import (
+    COMMANDS,
     DEFAULT_ENTANGLE_GRID,
     EXIT_INVALID,
     EXIT_IO,
@@ -82,6 +86,13 @@ output = sweep.csv
 """
 
 GOLDEN = Path(__file__).parent / "data"
+GOLDENS = sorted(GOLDEN.glob("*.scenario"))
+#: The golden scenario of each command that has one.
+_SCENARIO_COPIES = {"run": "run_lossy", "sweep": "sweep_lossy", "entangle": "entangle_psi_plus"}
+#: An ``oracle-check`` of one scheme run.
+ONE_ORACLE_RUN = (
+    "command = oracle-check\noracle.cases = 1\noracle.max_detected = 1\noracle.max_aligned = 0\n"
+)
 
 
 def read_rows(path):
@@ -807,6 +818,7 @@ class TestEntangleCommand:
 _ENTANGLE_TARGETS = {2: (None, "Psi+", "Phi-", "F1", "F2"), 3: (None, "GHZ3", "F3", "F4")}
 _GRID_POINTS = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
 _FULL_GRIDS = [DEFAULT_ENTANGLE_GRID, tuple(k / 100 for k in range(MAX_ENTANGLE_GRID))]
+_REVERSED_GRID = DEFAULT_ENTANGLE_GRID[::-1]  # the golden grids, backwards
 
 
 @st.composite
@@ -836,6 +848,8 @@ class TestEntangleGridPoints:
 
     @settings(max_examples=40, deadline=None)
     @given(document=entangle_documents(), grid=entangle_grids())
+    @example(document=(GOLDEN / "entangle_psi_plus.scenario").read_text(), grid=_REVERSED_GRID)
+    @example(document=(GOLDEN / "entangle_ghz3.scenario").read_text(), grid=_REVERSED_GRID)
     def test_each_row_is_its_point_alone(self, tmp_path_factory, document, grid):
         work = tmp_path_factory.mktemp("grid")
         scenario, out = work / "ent.scenario", work / "ent.csv"
@@ -930,7 +944,7 @@ class TestNumericalFailures:
 class TestGoldenOutputs:
     """CSV bytes of fixed scenarios; t < 1 in run and sweep, so loss rows are nonzero."""
 
-    @pytest.mark.parametrize("scenario", sorted(GOLDEN.glob("*.scenario")), ids=lambda p: p.stem)
+    @pytest.mark.parametrize("scenario", GOLDENS, ids=lambda p: p.stem)
     def test_bytes_match(self, tmp_path, scenario):
         command = parse_scenario(scenario.read_text()).command
         out = tmp_path / "out.csv"
@@ -948,6 +962,39 @@ class TestGoldenOutputs:
         for row in rows:
             expected = float(row[0]) ** scheme.n_aligned if scheme.n_detected == 2 else 0.0
             assert row[2] == format(expected, ".12g")
+
+
+class TestModuleInAChildProcess:
+    """``python -m pisim.cli`` as its own process: the one route through the ``__main__``
+    guard and ``sys.argv[1:]``.  The child runs numpy without its AVX2 and AVX-512 loops,
+    which the environment sets for the child alone, and BLAS on one thread."""
+
+    @staticmethod
+    def run_module(*argv: str) -> subprocess.CompletedProcess:
+        src = str(Path(pisim.__file__).resolve().parents[1])
+        env = dict(
+            os.environ,
+            PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+            NPY_DISABLE_CPU_FEATURES="AVX512_SPR AVX512_ICL X86_V4 X86_V3",
+            OMP_NUM_THREADS="1",
+            OPENBLAS_NUM_THREADS="1",
+            MKL_NUM_THREADS="1",
+        )
+        command = [sys.executable, "-m", "pisim.cli", *argv]
+        return subprocess.run(command, env=env, capture_output=True, timeout=60)
+
+    @pytest.mark.parametrize("scenario", GOLDENS, ids=lambda p: p.stem)
+    def test_golden_bytes_in_the_reduced_dispatch(self, tmp_path, scenario):
+        out = tmp_path / "out.csv"
+        command = parse_scenario(scenario.read_text()).command
+        done = self.run_module(command, "--scenario", str(scenario), "--out", str(out))
+        assert (done.returncode, done.stderr, done.stdout) == (EXIT_OK, b"", b"")
+        assert out.read_bytes() == scenario.with_suffix(".csv").read_bytes()
+
+    def test_help_prints_the_help_text(self):
+        done = self.run_module("--help")
+        assert (done.returncode, done.stderr) == (EXIT_OK, b"")
+        assert done.stdout == HELP.encode()
 
 
 class TestOracleCommand:
@@ -974,14 +1021,20 @@ class TestOracleCommand:
         assert a.read_bytes() == b.read_bytes()
         assert a.read_text().splitlines()[0] != c.read_text().splitlines()[0]
 
+    def test_seed_option_heads_the_report(self, tmp_path):
+        scenario, out = tmp_path / "oracle.scenario", tmp_path / "oracle.csv"
+        scenario.write_text("command = oracle-check\noracle.cases = 2\n")
+        argv = ["oracle-check", "--scenario", str(scenario), "--out", str(out), "--seed", "7"]
+        assert main(argv) == EXIT_OK
+        assert out.read_text().splitlines()[0] == "# seed = 7"
+
     def test_deviation_exits_nonzero(self, tmp_path, monkeypatch, capsys):
         import pisim.cli as cli
 
         monkeypatch.setattr(cli, "_oracle_fidelity", lambda cfg: 0.5)
-        text = "command = oracle-check\noracle.cases = 1\noracle.max_detected = 1\noracle.max_aligned = 0\n"
         out = tmp_path / "oracle.csv"
         capsys.readouterr()
-        assert execute(parse_scenario(text), out_path=str(out)) == EXIT_NUMERIC
+        assert execute(parse_scenario(ONE_ORACLE_RUN), out_path=str(out)) == EXIT_NUMERIC
         assert capsys.readouterr().err == f"pisim: oracle deviation above 1e-09; see {out}\n"
         assert out.read_text().splitlines() == [
             "# seed = 42",
@@ -1067,14 +1120,16 @@ class TestMainEntryPoint:
     @pytest.mark.parametrize("ends", ["lf", "crlf"])
     def test_byte_order_mark_is_skipped(self, tmp_path, capsys, ends):
         """Editors on Windows often start a UTF-8 file with a byte-order mark."""
-        text = (GOLDEN / "run_lossy.scenario").read_bytes().decode("utf-8")
-        if ends == "crlf":
-            text = text.replace("\n", "\r\n")
         scenario_path, out = tmp_path / "bom.scenario", tmp_path / "out.csv"
-        scenario_path.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
-        assert main(["run", "--scenario", str(scenario_path), "--out", str(out)]) == EXIT_OK
-        assert capsys.readouterr().err == ""
-        assert out.read_bytes() == (GOLDEN / "run_lossy.csv").read_bytes()
+        for scenario in GOLDENS:
+            text = scenario.read_bytes().decode("utf-8")
+            if ends == "crlf":
+                text = text.replace("\n", "\r\n")
+            scenario_path.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+            command = parse_scenario(text).command
+            assert main([command, "--scenario", str(scenario_path), "--out", str(out)]) == EXIT_OK
+            assert capsys.readouterr().err == ""
+            assert out.read_bytes() == scenario.with_suffix(".csv").read_bytes(), scenario.stem
 
     def test_byte_order_mark_before_the_command_key(self, tmp_path):
         scenario_path, out = tmp_path / "bom.scenario", tmp_path / "out.csv"
@@ -1136,7 +1191,7 @@ class TestFiles:
     """Scenarios are read and CSVs written as bytes, through the paths as given."""
 
     @pytest.mark.parametrize("ends", LINE_ENDS)
-    @pytest.mark.parametrize("scenario", sorted(GOLDEN.glob("*.scenario")), ids=lambda p: p.stem)
+    @pytest.mark.parametrize("scenario", GOLDENS, ids=lambda p: p.stem)
     def test_any_line_ends_give_the_golden_bytes(self, tmp_path, scenario, ends):
         text = scenario.read_bytes().decode("utf-8")
         assert text.count("\n") >= 3 and "\r" not in text
@@ -1199,16 +1254,20 @@ class TestFiles:
     )
     def test_path_that_is_no_file_exits_io(self, tmp_path, capsys, scenario, out, message):
         """Paths reach the operating system as given: a trailing slash is kept."""
-        scenario_path = tmp_path / "run.scenario"
-        shutil.copy(GOLDEN / "run_lossy.scenario", scenario_path)
+        scenario_path = tmp_path / "doc.scenario"
         (tmp_path / "out").mkdir()
         names = {"s": scenario_path, "o": tmp_path / "out", "d": tmp_path}
-        argv = ["run", "--scenario", scenario.format(**names), "--out", out.format(**names)]
-        assert main(argv) == EXIT_IO
-        printed = capsys.readouterr()
-        assert printed.err.startswith(message) and printed.err.count("\n") == 1
-        assert printed.out == ""
-        assert list((tmp_path / "out").iterdir()) == []
+        for command in COMMANDS:
+            if command == "oracle-check":
+                scenario_path.write_text(ONE_ORACLE_RUN)
+            else:
+                shutil.copy(GOLDEN / f"{_SCENARIO_COPIES[command]}.scenario", scenario_path)
+            argv = [command, "--scenario", scenario.format(**names), "--out", out.format(**names)]
+            assert main(argv) == EXIT_IO, command
+            printed = capsys.readouterr()
+            assert printed.err.startswith(message) and printed.err.count("\n") == 1
+            assert printed.out == ""
+            assert list((tmp_path / "out").iterdir()) == [], command
 
     @pytest.mark.parametrize("out", ["absent/x.csv", "absent/x.csv/", "absent/deeper/x.csv"])
     def test_missing_output_directory_fails_before_the_command_runs(
@@ -1411,14 +1470,13 @@ class TestArguments:
     def test_posixly_correct_changes_nothing(self, tmp_path, monkeypatch):
         monkeypatch.setenv("POSIXLY_CORRECT", "1")
         out = tmp_path / "out.csv"
-        argv = ["run", "--scenario", str(GOLDEN / "run_lossy.scenario"), f"--out={out}"]
+        argv = ["run", f"--scenario={GOLDEN / 'run_lossy.scenario'}", f"--out={out}"]
         assert main(argv) == EXIT_OK
         assert out.read_bytes() == (GOLDEN / "run_lossy.csv").read_bytes()
 
 
 #: Words that stand for files made fresh in a scratch directory for each example.
 _PLACEHOLDERS = ("<run>", "<sweep>", "<entangle>", "<oracle>", "<bad>", "<out>", "<dir>")
-_SCENARIO_COPIES = {"run": "run_lossy", "sweep": "sweep_lossy", "entangle": "entangle_psi_plus"}
 _WORDS = st.one_of(
     st.sampled_from(
         ["run", "sweep", "entangle", "oracle-check", "bogus", "--scenario", "--out", "--seed"]
@@ -1452,8 +1510,7 @@ def test_any_argument_list_exits_with_a_documented_code(argument_dir, words):
     (argument_dir / "dir").mkdir(parents=True)
     for name, golden in _SCENARIO_COPIES.items():
         shutil.copy(GOLDEN / f"{golden}.scenario", argument_dir / name)
-    oracle = ["command = oracle-check", "oracle.cases = 1", "oracle.max_detected = 1"]
-    (argument_dir / "oracle").write_text("\n".join(oracle + ["oracle.max_aligned = 0\n"]))
+    (argument_dir / "oracle").write_text(ONE_ORACLE_RUN)
     (argument_dir / "bad").write_bytes(b"command = run\n\xff\n")
     paths = {word: str(argument_dir / word.strip("<>")) for word in _PLACEHOLDERS}
     here = os.getcwd()
