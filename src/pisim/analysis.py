@@ -28,7 +28,7 @@ def sweep_pattern(cfg: SchemeConfig, variable: str, grid: Sequence[float]) -> np
     as in ``detected_state(cfg, variable, grid).table().marginal`` of the two-branch form.  An
     unknown variable is rejected whatever the grid."""
     cfg.phase_slot(variable)
-    states = (run_scheme(cfg.replace_phase(variable, float(v))) for v in grid)
+    states = (run_scheme(cfg.replace_phase(variable, v)) for v in grid)
     rows = [outcome_probabilities(state).marginal[0] for state in states]
     return np.array(rows).reshape(len(rows), 2**cfg.n_detected)
 

@@ -12,7 +12,7 @@ import cmath
 import functools
 import math
 from dataclasses import dataclass, replace
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -49,13 +49,24 @@ def _real(value: object, field: str, low: float = -math.inf, high: float = math.
     """``value`` as a finite float in ``[low, high]``; otherwise a ConfigError naming ``field``."""
     try:
         number = float(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         number = math.nan
     if not math.isfinite(number):
         raise ConfigError(f"{field} must be a finite number, got {value!r}", field=field)
     if not low <= number <= high:
         raise ConfigError(f"{field} must lie in [{low:g}, {high:g}], got {number}", field=field)
     return number
+
+
+def _unit_interval(total: float | np.ndarray) -> float | np.ndarray:
+    """``total``, a transmission or an array of them, if each lies in [0, 1]; else a ValueError."""
+    if isinstance(total, np.ndarray):
+        outside = ~((total >= 0.0) & (total <= 1.0))
+        if outside.any():
+            raise ValueError(f"transmission must lie in [0, 1], got {total[outside][0]}")
+    elif not 0.0 <= total <= 1.0:  # a float stays a plain comparison
+        raise ValueError(f"transmission must lie in [0, 1], got {total}")
+    return total
 
 
 @dataclass(frozen=True)
@@ -122,7 +133,8 @@ class SchemeConfig:
 
     @property
     def xi(self) -> float:
-        """Interference phase phi0 + sum(phi) - sum(theta) the output depends on."""
+        """Interference phase phi0 + sum(phi) - sum(theta) the output depends on, as the plain
+        float sum; :func:`detected_state` sums xi exactly, as hi + lo."""
         return self.phi0 + sum(self.phi) - sum(self.theta)
 
     def phase_slot(self, variable: str) -> int:
@@ -235,14 +247,12 @@ def apply_path_identity(
     the aligned beam (amplitude ``transmission``) and the loss mode; the
     primed source beam feeds the aligned beam with amplitude unchanged.
     """
-    if not 0.0 <= transmission <= 1.0:
-        raise ValueError(f"transmission must lie in [0, 1], got {transmission}")
+    passed = float(_unit_interval(transmission))
     if not math.isfinite(theta):
         raise ValueError("theta must be finite")
     if not 1 <= particle <= psi.particle_count:
         raise ValueError(f"particle {particle} out of range 1..{psi.particle_count}")
 
-    passed = float(transmission)
     lost = math.sqrt(max(0.0, 1.0 - passed * passed))
     aligned = aligned_beam(particle)
     unprimed = (cmath.exp(1j * theta), ((aligned, passed), (loss(particle), lost)))
@@ -283,13 +293,8 @@ def run_scheme(cfg: SchemeConfig) -> PureState:
 
 def detected_particles(psi: PureState) -> tuple[int, ...]:
     """Particles carrying detector labels in every term of ``psi``."""
-    return _detected(psi.slot_labels)
-
-
-def _detected(columns: Iterable[tuple[PathLabel, ...]]) -> tuple[int, ...]:
-    """:func:`detected_particles` from the labels of each slot, one per term."""
     detected = []
-    for particle, labels in enumerate(columns, 1):
+    for particle, labels in enumerate(psi.slot_labels, 1):
         kinds = {label.kind for label in set(labels)}
         if kinds <= _DETECTOR_KINDS:
             detected.append(particle)
@@ -313,7 +318,7 @@ def outcome_probabilities(psi: PureState) -> BranchTable:
     """All coincidence probabilities of ``psi`` as a one-row table, from one pass over
     the labels of each slot; every cell adds its terms in term order."""
     columns = psi.slot_labels
-    detected = _detected(columns)
+    detected = detected_particles(psi)
     if not detected:
         raise ValueError("state has no detected particles")
     count, cells = psi.term_count, 2 ** len(detected)
@@ -362,18 +367,14 @@ class DetectedState(NamedTuple):
         """Column 0 of ``table().marginal`` at each of ``transmissions`` in place of T, one
         row each: the pattern of the unprimed coincidence over the phase column.  A
         transmission outside [0, 1], NaN included, is a ValueError."""
-        total = np.array(transmissions, float).reshape(-1, 1, 1)
-        inside = (total >= 0.0) & (total <= 1.0)
-        if not inside.all():
-            raise ValueError(f"transmission must lie in [0, 1], got {total[~inside][0]}")
-        weight, lost = self._weights(total)
+        weight, lost = self._weights(np.array(transmissions, float).reshape(-1, 1, 1))
         return weight[..., 0] + lost[:, 0] * 0.5**self.n_detected
 
     def _weights(self, total: float | np.ndarray) -> tuple[np.ndarray, float | np.ndarray]:
         """|A|^2 of the outcomes with an even and an odd count of primed ports, one row per
         phase value, and the lost probability, at T = ``total``: a float, or a (G, 1, 1)
         array that stacks G such pairs, each value exactly what the float gives."""
-        n = self.n_detected
+        n, total = self.n_detected, _unit_interval(total)
         # |A|^2 = |1 + T e^(-i xi) i^(2r-n)|^2 / 2^(n+1), r even, odd: flat in xi at T = 0
         turn = (1, -1j, -1, 1j)[n % 4] * np.array([1.0, -1.0])
         weight = np.abs(1.0 + total * self.phase * turn) ** 2 * 0.5 ** (n + 1)
@@ -386,7 +387,7 @@ class DetectedState(NamedTuple):
         if 2**n > MAX_DENSITY_DIM:
             raise ValueError(f"a density matrix of {n} particles exceeds {MAX_DENSITY_DIM}")
         basis, (u, p) = _port_branches(n)
-        cross = self.transmission * self.phase.item() * np.outer(u, p.conj())
+        cross = _unit_interval(self.transmission) * self.phase.item() * np.outer(u, p.conj())
         matrix = (np.outer(u, u.conj()) + np.outer(p, p.conj()) + cross + cross.conj().T) / 2
         return DensityMatrix(tuple(range(1, n + 1)), basis, matrix)
 
@@ -399,7 +400,7 @@ class DetectedState(NamedTuple):
 
     def pure_state(self) -> PureState:
         """(U + e^(i xi) P)/sqrt(2) at T = 1; ValueError below, where rho is mixed."""
-        if self.transmission != 1.0:
+        if _unit_interval(self.transmission) != 1.0:
             raise ValueError(f"the detected state is mixed at T = {self.transmission}")
         basis, (u, p) = _port_branches(self.n_detected)
         turned = self.phase.item().conjugate() * p
@@ -411,23 +412,19 @@ def detected_state(
 ) -> DetectedState:
     """The :class:`DetectedState` of ``cfg``, T = prod t: one row of e^(-i xi) per ``grid``
     value of the phase ``variable`` (see :meth:`SchemeConfig.phase_slot`), or one for ``cfg``.
-    A non-finite grid value is a ConfigError naming ``variable``, as in :class:`SchemeConfig`;
-    a grid without a variable is a ValueError."""
+    Each grid value converts as in :class:`SchemeConfig`, so one that is not a finite number
+    is a ConfigError naming ``variable``; a grid without a variable is a ValueError."""
     n = cfg.n_detected
     # xi is the sum of the row but its last slot, which holds -0.0 (adds nothing, not
     # even to a signed zero) for the sum hi and -hi for the remainder lo
     row = [cfg.phi0, *cfg.phi, *(-t for t in cfg.theta), -0.0]
     slot, values = 0, [cfg.phi0]
-    if variable is None:
-        if len(grid):
-            raise ValueError("a grid needs a phase variable")
-    else:
-        slot = cfg.phase_slot(variable)  # theta.<l> enters xi with a minus sign
-        for value in grid:
-            if not math.isfinite(value):
-                message = f"{variable} must be a finite number, got {value!r}"
-                raise ConfigError(message, field=variable)
-        values = [-v for v in grid] if slot > n else grid
+    if variable is not None:
+        slot = cfg.phase_slot(variable)
+        sign = -1.0 if slot > n else 1.0  # theta.<l> enters xi with a minus sign
+        values = [sign * _real(value, variable) for value in grid]
+    elif len(grid):
+        raise ValueError("a grid needs a phase variable")
     fsum, exp = math.fsum, cmath.exp
     phases = []  # e^(-i xi), xi summed exactly as hi + lo: near a zero |A| is as exact as xi
     for value in values:
@@ -454,8 +451,10 @@ def _port_branches(n: int) -> tuple[tuple[Outcome, ...], np.ndarray]:
 @functools.cache
 def _bit_counts(n: int) -> np.ndarray:
     """The number of primed ports of each outcome of n particles, in column order, as one
-    read-only array: it fixes the factors of :func:`_port_branches`, and its parity the
-    column of :meth:`DetectedState.table` that each outcome reads."""
+    read-only array: the factors of :func:`_port_branches`, and by parity the column that
+    :meth:`DetectedState.table` reads.  ValueError for n outside [1, ``MAX_PARTICLES``]."""
+    if not 1 <= n <= MAX_PARTICLES:
+        raise ValueError(f"n_detected must lie in [1, {MAX_PARTICLES}], got {n}")
     counts = np.array([x.bit_count() for x in range(2**n)])
     counts.setflags(write=False)
     return counts

@@ -303,6 +303,36 @@ class TestRejectedInputs:
         with pytest.raises(ValueError, match="^a grid needs a phase variable$"):
             detected_state(SchemeConfig(3, 1), None, grid)
 
+    @pytest.mark.parametrize("value", ["abc", 10**400], ids=["text", "past-float-range"])
+    @pytest.mark.parametrize("variable", ["phi0", "phi.2", "theta.3"])
+    def test_grid_value_that_is_no_float_is_named_under_its_variable(self, variable, value):
+        message = f"{variable} must be a finite number, got {value!r}"
+        for route in (detected_state, sweep_pattern):
+            with pytest.raises(ConfigError) as info:
+                route(SchemeConfig(3, 1), variable, [0.5, value])
+            assert (str(info.value), info.value.field) == (message, variable)
+
+    @pytest.mark.parametrize("variable", ["phi0", "phi.2", "theta.3"])
+    def test_grid_is_converted_once_as_in_scheme_config(self, variable):
+        # a numeric string converts as SchemeConfig converts it, and a generator is read once
+        cfg, grid = SchemeConfig(3, 1), [0.1, 0.5]
+        for route in (lambda *args: detected_state(*args).table().marginal, sweep_pattern):
+            rows = route(cfg, variable, grid)
+            assert rows.shape == (2, 4)
+            assert same_bits(route(cfg, variable, [0.1, "0.5"]), rows)
+            assert same_bits(route(cfg, variable, (v for v in grid)), rows)
+        table = detected_state(cfg, variable, grid).table().marginal
+        for row in range(2):
+            assert_routes_agree(table[row], sweep_pattern(cfg, variable, grid)[row])
+
+    @pytest.mark.parametrize("value", [1.5, -0.1, math.nan])
+    def test_every_reader_of_the_state_transmission_refuses_one_outside(self, value):
+        state = DetectedState(2, value, np.ones((1, 1)))
+        for build in (state.table, state.density, state.pure_state):
+            with pytest.raises(ValueError) as info:
+                build()
+            assert str(info.value) == f"transmission must lie in [0, 1], got {value}"
+
     @pytest.mark.parametrize("value", [1.5, -0.1, math.nan, math.inf])
     def test_pattern_transmission_outside_the_unit_interval(self, value):
         message = f"transmission must lie in [0, 1], got {value}"

@@ -13,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pisim import (
+    MAX_PARTICLES,
     ConfigError,
     DetectionOutcome,
     LabelKind,
@@ -95,6 +96,8 @@ class TestSchemeConfig:
             (dict(n_particles=4, n_aligned=2, transmission=(0.5, 1.5)), "transmission.4"),
             (dict(n_particles=4, n_aligned=2, transmission=("x", 0.5)), "transmission.3"),
             (dict(n_particles=4, n_aligned=2, transmission=(math.nan, 0.5)), "transmission.3"),
+            (dict(n_particles=2, n_aligned=0, phi0=10**400), "phi0"),  # past the float range
+            (dict(n_particles=4, n_aligned=2, theta=(0.0, -(10**400))), "theta.4"),
         ],
     )
     def test_config_error_names_the_field(self, kwargs, field):
@@ -572,6 +575,15 @@ class TestJointProbability:
             detected_particles(psi)
         assert str(info.value) == "particle 1 mixes detector and non-detector labels"
 
+    @pytest.mark.parametrize("route", [outcome_probabilities, conditional_detected_state])
+    def test_routes_reading_the_detected_particles_reject_a_mixed_slot(self, route):
+        psi = pure_state_from_terms(
+            [((detector(1),), ROOT_HALF), ((aligned_beam(1),), ROOT_HALF)]
+        )
+        with pytest.raises(StructureError) as info:
+            route(psi)
+        assert str(info.value) == "particle 1 mixes detector and non-detector labels"
+
     def test_integral_ports_are_stored_as_int(self):
         outcome = DetectionOutcome((True, 0.0, np.int64(1)))
         assert outcome.ports == (1, 0, 1)
@@ -737,6 +749,21 @@ class TestDetectedState:
         too_many = MAX_DENSITY_DIM.bit_length()  # 2^13 > 4096
         with pytest.raises(ValueError, match=f"of {too_many} particles exceeds {MAX_DENSITY_DIM}"):
             DetectedState(too_many, 1.0, one).density()
+
+    @pytest.mark.parametrize("n", [0, -1, MAX_PARTICLES + 1])
+    def test_particle_count_outside_the_scheme_is_refused(self, n):
+        # refused before a 2^n array is sized; at n = 17 the density cap speaks first
+        state = DetectedState(n, 1.0, np.ones((1, 1)))
+        refused = f"n_detected must lie in [1, {MAX_PARTICLES}], got {n}"
+        too_large = f"a density matrix of {n} particles exceeds {MAX_DENSITY_DIM}"
+        for build, message in [
+            (state.table, refused),
+            (state.pure_state, refused),
+            (state.density, refused if n < 1 else too_large),
+        ]:
+            with pytest.raises(ValueError) as info:
+                build()
+            assert str(info.value) == message
 
     def test_equality_is_by_value(self):
         cfg = SchemeConfig(4, 1, phi0=0.3, transmission=(0.5,))
