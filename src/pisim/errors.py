@@ -23,9 +23,11 @@ class ValidationError(PathIdentityError):
     """A density matrix violates Hermiticity, unit trace, or positivity."""
 
 
-class ConfigError(PathIdentityError):
-    """An interferometer configuration violates its invariants.  ``field`` names the
-    offending value (``n``, ``m``, ``phi0``, ``phi.<j>``, ``theta.<l>``, ``transmission.<l>``)."""
+class ConfigError(PathIdentityError, ValueError):
+    """An interferometer input violates its invariants; also a ValueError.  ``field`` names
+    the offending value: ``n``, ``m``, ``phi0``, ``phi.<j>``, ``theta.<l>``, ``transmission.<l>``,
+    a grid's phase variable, or ``theta``, ``phi`` and ``transmission`` of the stage maps and
+    :class:`~pisim.interferometer.DetectedState`."""
 
     def __init__(self, message: str, *, field: str | None = None):
         super().__init__(message)

@@ -45,28 +45,24 @@ MAX_PARTICLES = 16
 _DETECTOR_KINDS = frozenset({LabelKind.DETECTOR_UNPRIMED, LabelKind.DETECTOR_PRIMED})
 
 
-def _real(value: object, field: str, low: float = -math.inf, high: float = math.inf) -> float:
-    """``value`` as a finite float in ``[low, high]``; otherwise a ConfigError naming ``field``."""
+def _real(value: object, field: str) -> float:
+    """``value`` as a finite float by ``float()``; otherwise a ConfigError naming ``field``
+    that shows what ``float()`` read, or ``value`` if it read nothing (then not a float)."""
     try:
-        number = float(value)
+        value = float(value)
     except (TypeError, ValueError, OverflowError):
-        number = math.nan
-    if not math.isfinite(number):
-        raise ConfigError(f"{field} must be a finite number, got {value!r}", field=field)
-    if not low <= number <= high:
-        raise ConfigError(f"{field} must lie in [{low:g}, {high:g}], got {number}", field=field)
+        pass
+    if isinstance(value, float) and math.isfinite(value):
+        return value
+    raise ConfigError(f"{field} must be a finite number, got {value!r}", field=field)
+
+
+def _unit_interval(value: object, field: str = "transmission") -> float:
+    """``value`` as a float by :func:`_real` in [0, 1]; otherwise a ConfigError naming ``field``."""
+    number = _real(value, field)
+    if not 0.0 <= number <= 1.0:
+        raise ConfigError(f"{field} must lie in [0, 1], got {number}", field=field)
     return number
-
-
-def _unit_interval(total: float | np.ndarray) -> float | np.ndarray:
-    """``total``, a transmission or an array of them, if each lies in [0, 1]; else a ValueError."""
-    if isinstance(total, np.ndarray):
-        outside = ~((total >= 0.0) & (total <= 1.0))
-        if outside.any():
-            raise ValueError(f"transmission must lie in [0, 1], got {total[outside][0]}")
-    elif not 0.0 <= total <= 1.0:  # a float stays a plain comparison
-        raise ValueError(f"transmission must lie in [0, 1], got {total}")
-    return total
 
 
 @dataclass(frozen=True)
@@ -111,7 +107,7 @@ class SchemeConfig:
         aligned = self.aligned_range
         phi = tuple(_real(x, f"phi.{j}") for j, x in zip(self.detected_range, phi))
         theta = tuple(_real(x, f"theta.{l}") for l, x in zip(aligned, theta))
-        trans = tuple(_real(x, f"transmission.{l}", 0.0, 1.0) for l, x in zip(aligned, trans))
+        trans = tuple(_unit_interval(x, f"transmission.{l}") for l, x in zip(aligned, trans))
         object.__setattr__(self, "phi0", _real(self.phi0, "phi0"))
         object.__setattr__(self, "phi", phi)
         object.__setattr__(self, "theta", theta)
@@ -245,11 +241,10 @@ def apply_path_identity(
 
     The unprimed source beam picks up the propagation phase and splits into
     the aligned beam (amplitude ``transmission``) and the loss mode; the
-    primed source beam feeds the aligned beam with amplitude unchanged.
+    primed source beam feeds the aligned beam with amplitude unchanged.  Both inputs
+    convert as in :class:`SchemeConfig`: a ConfigError names ``theta`` or ``transmission``.
     """
-    passed = float(_unit_interval(transmission))
-    if not math.isfinite(theta):
-        raise ValueError("theta must be finite")
+    theta, passed = _real(theta, "theta"), _unit_interval(transmission)
     if not 1 <= particle <= psi.particle_count:
         raise ValueError(f"particle {particle} out of range 1..{psi.particle_count}")
 
@@ -263,10 +258,10 @@ def apply_beam_splitter(psi: PureState, particle: int, phi: float) -> PureState:
     """Superpose the two source beams of ``particle`` on a 50-50 beam splitter.
 
     Unprimed input maps to ``(d + i d')/sqrt(2)``; primed input to
-    ``e^{i phi} (d' + i d)/sqrt(2)``.
+    ``e^{i phi} (d' + i d)/sqrt(2)``.  ``phi`` converts as in :class:`SchemeConfig`: a
+    ConfigError names ``phi``.
     """
-    if not math.isfinite(phi):
-        raise ValueError("phi must be finite")
+    phi = _real(phi, "phi")
     if not 1 <= particle <= psi.particle_count:
         raise ValueError(f"particle {particle} out of range 1..{psi.particle_count}")
 
@@ -359,22 +354,22 @@ class DetectedState(NamedTuple):
         ``P = 2^(-n/2) i^(n-r)`` at ``r`` primed ports, plus ``(1 - T^2)/2 |U|^2`` lost;
         ``|A| <= AMPLITUDE_EPSILON`` cancels, as in the engine."""
         n = self.n_detected
-        weight, lost = self._weights(self.transmission)
+        weight, lost = self._weights(_unit_interval(self.transmission))
         loss_free = weight[:, _bit_counts(n) & 1]
         return BranchTable(loss_free, loss_free + lost * 0.5**n, lost)
 
     def pattern(self, transmissions: Sequence[float]) -> np.ndarray:
         """Column 0 of ``table().marginal`` at each of ``transmissions`` in place of T, one
-        row each: the pattern of the unprimed coincidence over the phase column.  A
-        transmission outside [0, 1], NaN included, is a ValueError."""
-        weight, lost = self._weights(np.array(transmissions, float).reshape(-1, 1, 1))
+        row each: the pattern of the unprimed coincidence over the phase column.  Each T
+        converts as in :class:`SchemeConfig`, so one outside [0, 1] is a ConfigError."""
+        weight, lost = self._weights(np.array([*map(_unit_interval, transmissions)])[:, None, None])
         return weight[..., 0] + lost[:, 0] * 0.5**self.n_detected
 
     def _weights(self, total: float | np.ndarray) -> tuple[np.ndarray, float | np.ndarray]:
         """|A|^2 of the outcomes with an even and an odd count of primed ports, one row per
         phase value, and the lost probability, at T = ``total``: a float, or a (G, 1, 1)
-        array that stacks G such pairs, each value exactly what the float gives."""
-        n, total = self.n_detected, _unit_interval(total)
+        array that stacks G such pairs, each value exactly what the float gives; unchecked."""
+        n = self.n_detected
         # |A|^2 = |1 + T e^(-i xi) i^(2r-n)|^2 / 2^(n+1), r even, odd: flat in xi at T = 0
         turn = (1, -1j, -1, 1j)[n % 4] * np.array([1.0, -1.0])
         weight = np.abs(1.0 + total * self.phase * turn) ** 2 * 0.5 ** (n + 1)
@@ -423,7 +418,7 @@ def detected_state(
         slot = cfg.phase_slot(variable)
         sign = -1.0 if slot > n else 1.0  # theta.<l> enters xi with a minus sign
         values = [sign * _real(value, variable) for value in grid]
-    elif len(grid):
+    elif any(True for _ in grid):  # reads at most one value
         raise ValueError("a grid needs a phase variable")
     fsum, exp = math.fsum, cmath.exp
     phases = []  # e^(-i xi), xi summed exactly as hi + lo: near a zero |A| is as exact as xi

@@ -303,6 +303,14 @@ class TestRejectedInputs:
         with pytest.raises(ValueError, match="^a grid needs a phase variable$"):
             detected_state(SchemeConfig(3, 1), None, grid)
 
+    def test_generator_grid_without_a_variable_is_rejected(self):
+        with pytest.raises(ValueError, match="^a grid needs a phase variable$"):
+            detected_state(SchemeConfig(3, 1), None, (x for x in [0.1]))
+
+    def test_empty_generator_grid_without_a_variable_gives_the_configs_row(self):
+        state = detected_state(SchemeConfig(3, 1), None, (x for x in []))
+        assert state == detected_state(SchemeConfig(3, 1)) and state.phase.shape == (1, 1)
+
     @pytest.mark.parametrize("value", ["abc", 10**400], ids=["text", "past-float-range"])
     @pytest.mark.parametrize("variable", ["phi0", "phi.2", "theta.3"])
     def test_grid_value_that_is_no_float_is_named_under_its_variable(self, variable, value):
@@ -327,15 +335,18 @@ class TestRejectedInputs:
 
     @pytest.mark.parametrize("value", [1.5, -0.1, math.nan])
     def test_every_reader_of_the_state_transmission_refuses_one_outside(self, value):
+        rule = "lie in [0, 1]" if math.isfinite(value) else "be a finite number"
+        message = f"transmission must {rule}, got {value}"
         state = DetectedState(2, value, np.ones((1, 1)))
         for build in (state.table, state.density, state.pure_state):
             with pytest.raises(ValueError) as info:
                 build()
-            assert str(info.value) == f"transmission must lie in [0, 1], got {value}"
+            assert str(info.value) == message
 
     @pytest.mark.parametrize("value", [1.5, -0.1, math.nan, math.inf])
     def test_pattern_transmission_outside_the_unit_interval(self, value):
-        message = f"transmission must lie in [0, 1], got {value}"
+        rule = "lie in [0, 1]" if math.isfinite(value) else "be a finite number"
+        message = f"transmission must {rule}, got {value}"
         state = detected_state(SchemeConfig(3, 1))
         with pytest.raises(ValueError) as info:
             state.pattern([0.5, value, 1.0])

@@ -220,7 +220,7 @@ class TestApplyPathIdentity:
     def test_non_finite_theta_rejected(self, theta):
         with pytest.raises(ValueError) as info:
             apply_path_identity(self._emission(), 3, theta, 1.0)
-        assert str(info.value) == "theta must be finite"
+        assert str(info.value) == f"theta must be a finite number, got {theta!r}"
 
     def test_double_alignment_rejected(self):
         once = apply_path_identity(self._emission(), 3, 0.0, 0.9)
@@ -273,7 +273,7 @@ class TestApplyBeamSplitter:
         psi = pure_state_from_terms([((source_beam(1),), 1.0)])
         with pytest.raises(ValueError) as info:
             apply_beam_splitter(psi, 1, phi)
-        assert str(info.value) == "phi must be finite"
+        assert str(info.value) == f"phi must be a finite number, got {phi!r}"
 
     def test_double_splitting_rejected(self):
         psi = pure_state_from_terms([((source_beam(1),), 1.0)])
