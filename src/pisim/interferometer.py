@@ -368,7 +368,7 @@ class DetectedState(NamedTuple):
     def _weights(self, total: float | np.ndarray) -> tuple[np.ndarray, float | np.ndarray]:
         """|A|^2 of the outcomes with an even and an odd count of primed ports, one row per
         phase value, and the lost probability, at T = ``total``: a float, or a (G, 1, 1)
-        array that stacks G such pairs, each value exactly what the float gives; unchecked."""
+        array that stacks G such pairs, each value exactly what the float gives; callers check T."""
         n = self.n_detected
         # |A|^2 = |1 + T e^(-i xi) i^(2r-n)|^2 / 2^(n+1), r even, odd: flat in xi at T = 0
         turn = (1, -1j, -1, 1j)[n % 4] * np.array([1.0, -1.0])
@@ -408,7 +408,7 @@ def detected_state(
     """The :class:`DetectedState` of ``cfg``, T = prod t: one row of e^(-i xi) per ``grid``
     value of the phase ``variable`` (see :meth:`SchemeConfig.phase_slot`), or one for ``cfg``.
     Each grid value converts as in :class:`SchemeConfig`, so one that is not a finite number
-    is a ConfigError naming ``variable``; a grid without a variable is a ValueError."""
+    is a ConfigError naming ``variable``; a value in a grid without a variable is a ValueError."""
     n = cfg.n_detected
     # xi is the sum of the row but its last slot, which holds -0.0 (adds nothing, not
     # even to a signed zero) for the sum hi and -hi for the remainder lo

@@ -349,7 +349,7 @@ class TestInnerProduct:
 def small_states(draw):
     particles = draw(st.integers(1, 3))
     n_terms = draw(st.integers(1, 4))
-    terms = []
+    amplitudes = {}  # one amplitude per outcome, so the guard below sees what the state keeps
     for _ in range(n_terms):
         outcome = tuple(
             detector(p) if draw(st.booleans()) else primed_detector(p)
@@ -357,7 +357,8 @@ def small_states(draw):
         )
         real = draw(st.floats(-2, 2, allow_nan=False))
         imag = draw(st.floats(-2, 2, allow_nan=False))
-        terms.append((outcome, complex(real, imag)))
+        amplitudes[outcome] = amplitudes.get(outcome, 0j) + complex(real, imag)
+    terms = list(amplitudes.items())
     total = sum(abs(a) ** 2 for _, a in terms)
     if total < 1e-6:
         terms[0] = (terms[0][0], terms[0][1] + 1.0)
