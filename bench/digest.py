@@ -95,10 +95,9 @@ def child() -> None:
             print(json.dumps({"workload": workload, "scenario": scenario, "parts": parts}))
 
 
-def _density_chain(pisim, s) -> list[str]:
+def _density_chain(p, s) -> list[str]:
     """``float.hex()`` of the fidelity and the concurrence of the ``lib-density`` chain,
     the calls of ``perfbench/workload.py``'s ``DensityRunner``, or the error it raised."""
-    p = pisim
     try:
         cfg = p.interferometer.SchemeConfig(
             s.n, s.m, phi0=s.phi0, phi=s.phi, theta=s.theta, transmission=s.transmission

@@ -92,9 +92,8 @@ def test_every_route_rejects_what_is_not_a_finite_number(kind, name, value):
         shown = value
     with pytest.raises(ConfigError) as info:
         route(value)
-    assert (str(info.value), info.value.field) == (
-        f"{field} must be a finite number, got {shown!r}", field
-    )
+    message = f"{field} must be a finite number, got {shown!r}"
+    assert (str(info.value), info.value.field) == (message, field)
     assert isinstance(info.value, ValueError)
 
 
@@ -104,5 +103,6 @@ def test_every_transmission_route_rejects_a_number_outside_the_unit_interval(nam
     route, field = TRANSMISSION_ROUTES[name]
     with pytest.raises(ConfigError) as info:
         route(value)
-    assert (str(info.value), info.value.field) == (f"{field} must lie in [0, 1], got {value}", field)
+    message = f"{field} must lie in [0, 1], got {value}"
+    assert (str(info.value), info.value.field) == (message, field)
     assert isinstance(info.value, ValueError)
