@@ -32,7 +32,14 @@ from .errors import (
     ScenarioParseError,
     ValidationError,
 )
-from .interferometer import MAX_PARTICLES, SchemeConfig, detected_state, run_scheme
+from .interferometer import (
+    MAX_PARTICLES,
+    SchemeConfig,
+    detected_state,
+    finite_float,
+    run_scheme,
+    unit_interval,
+)
 from .states import aligned_beam, port_bitstrings, pure_state_from_terms, state_fidelity
 
 EXIT_OK = 0
@@ -150,7 +157,7 @@ class _Entries:
         return None
 
     def take_as(self, key: str, kind: type = str, default: Any = None) -> Any:
-        """The value of ``key`` as ``kind`` (str, int or float), or ``default`` if absent;
+        """The value of ``key`` as ``kind`` (str or int), or ``default`` if absent;
         an absent key with the default ``_REQUIRED`` is a "missing key" error."""
         found = self.take(key)
         if found is None:
@@ -159,23 +166,28 @@ class _Entries:
             return default
         try:
             return kind(found[0])
-        except ValueError:
-            what = "an integer" if kind is int else "a number"
-            raise self.error(key, f"expected {what}, got {found[0]!r}")
+        except ValueError:  # str() raises none
+            raise self.error(key, f"expected an integer, got {found[0]!r}")
+
+    def take_int(self, key: str, low: int, high: int, default: Any = _REQUIRED) -> int:
+        """``take_as(key, int, default)`` in [low, high]; otherwise a parse error at ``key``."""
+        value = self.take_as(key, int, default)
+        if not low <= value <= high:
+            raise self.error(key, f"{key} must lie in [{low}, {high}]")
+        return value
 
 
 def _parse_scheme(entries: _Entries) -> SchemeConfig:
-    n = entries.take_as("scheme.n", int, _REQUIRED)
+    n = entries.take_int("scheme.n", 1, MAX_PARTICLES)
     m = entries.take_as("scheme.m", int, _REQUIRED)
-    if not 1 <= n <= MAX_PARTICLES:
-        raise entries.error("scheme.n", f"scheme.n must lie in [1, {MAX_PARTICLES}]")
     if not 0 <= m <= n:  # m = n is the SchemeConfig error below
         raise entries.error("scheme.m", f"scheme.m must lie in [0, {n - 1}]")
-    phi0 = entries.take_as("scheme.phi0", float, 0.0)
-    phi = tuple(entries.take_as(f"scheme.phi.{j}", float, 0.0) for j in range(1, n - m + 1))
+    # SchemeConfig converts each value, given as text, by the phase and transmission rules
+    phi0 = entries.take_as("scheme.phi0", str, 0.0)
+    phi = tuple(entries.take_as(f"scheme.phi.{j}", str, 0.0) for j in range(1, n - m + 1))
     aligned = range(n - m + 1, n + 1)
-    theta = tuple(entries.take_as(f"scheme.theta.{l}", float, 0.0) for l in aligned)
-    trans = tuple(entries.take_as(f"scheme.transmission.{l}", float, 1.0) for l in aligned)
+    theta = tuple(entries.take_as(f"scheme.theta.{l}", str, 0.0) for l in aligned)
+    trans = tuple(entries.take_as(f"scheme.transmission.{l}", str, 1.0) for l in aligned)
     try:
         return SchemeConfig(n, m, phi0=phi0, phi=phi, theta=theta, transmission=trans)
     except ConfigError as exc:
@@ -188,20 +200,18 @@ def _parse_sweep(entries: _Entries, scheme: SchemeConfig) -> SweepSpec:
         scheme.phase_slot(variable)
     except ValueError as exc:
         raise entries.error("sweep.variable", str(exc))
-    steps = entries.take_as("sweep.steps", int, SweepSpec.steps)
-    if not 8 <= steps <= MAX_SWEEP_STEPS:
-        raise entries.error("sweep.steps", f"sweep.steps must lie in [8, {MAX_SWEEP_STEPS}]")
+    steps = entries.take_int("sweep.steps", 8, MAX_SWEEP_STEPS, SweepSpec.steps)
     if steps * 2**scheme.n_detected > MAX_SWEEP_CELLS:
         raise entries.error(
             entries.given("sweep.steps", "scheme.n"),
             f"{steps} steps of 2^{scheme.n_detected} outcomes each exceed the limit of "
             f"{MAX_SWEEP_CELLS} cells per sweep",
         )
-    start = entries.take_as("sweep.start", float, SweepSpec.start)
-    stop = entries.take_as("sweep.stop", float, SweepSpec.stop)
-    for key, value in (("sweep.start", start), ("sweep.stop", stop)):
-        if not math.isfinite(value):
-            raise entries.error(key, f"{key} must be finite, got {value}")
+    try:
+        start = finite_float(entries.take_as("sweep.start", str, SweepSpec.start), "sweep.start")
+        stop = finite_float(entries.take_as("sweep.stop", str, SweepSpec.stop), "sweep.stop")
+    except ConfigError as exc:
+        raise entries.error(exc.field, str(exc))
     key = entries.given("sweep.stop", "sweep.start")
     if not stop > start:
         raise entries.error(key, "sweep.stop must exceed sweep.start")
@@ -215,28 +225,17 @@ def _parse_entangle_grid(entries: _Entries) -> tuple[float, ...]:
     if found is None:
         return DEFAULT_ENTANGLE_GRID
     try:
-        grid = tuple(float(part) for part in found[0].split(","))
-    except ValueError:
-        raise entries.error("entangle.grid", "expected comma-separated numbers")
-    if any(not 0.0 <= t <= 1.0 for t in grid):
-        raise entries.error("entangle.grid", "grid transmissions must lie in [0, 1]")
-    return grid
+        return tuple(unit_interval(part, "entangle.grid") for part in found[0].split(","))
+    except ConfigError as exc:
+        raise entries.error("entangle.grid", str(exc))
 
 
 def _parse_oracle(entries: _Entries) -> OracleSpec:
     spec = OracleSpec(
-        cases=entries.take_as("oracle.cases", int, OracleSpec.cases),
-        max_detected=entries.take_as("oracle.max_detected", int, OracleSpec.max_detected),
-        max_aligned=entries.take_as("oracle.max_aligned", int, OracleSpec.max_aligned),
+        cases=entries.take_int("oracle.cases", 1, 100000, OracleSpec.cases),
+        max_detected=entries.take_int("oracle.max_detected", 1, 8, OracleSpec.max_detected),
+        max_aligned=entries.take_int("oracle.max_aligned", 0, 8, OracleSpec.max_aligned),
     )
-    checks = (
-        ("oracle.cases", spec.cases, 1, 100000),
-        ("oracle.max_detected", spec.max_detected, 1, 8),
-        ("oracle.max_aligned", spec.max_aligned, 0, 8),
-    )
-    for key, value, low, high in checks:
-        if not low <= value <= high:
-            raise entries.error(key, f"value must lie in [{low}, {high}]")
     runs = spec.cases * spec.max_detected * (spec.max_aligned + 1)  # one per case and scheme
     if runs > MAX_ORACLE_RUNS:
         key = entries.given("oracle.cases", "oracle.max_detected", "oracle.max_aligned")

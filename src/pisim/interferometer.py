@@ -45,7 +45,7 @@ MAX_PARTICLES = 16
 _DETECTOR_KINDS = frozenset({LabelKind.DETECTOR_UNPRIMED, LabelKind.DETECTOR_PRIMED})
 
 
-def _real(value: object, field: str) -> float:
+def finite_float(value: object, field: str) -> float:
     """``value`` as a finite float by ``float()``; otherwise a ConfigError naming ``field``
     that shows what ``float()`` read, or ``value`` if it read nothing (then not a float)."""
     try:
@@ -57,9 +57,9 @@ def _real(value: object, field: str) -> float:
     raise ConfigError(f"{field} must be a finite number, got {value!r}", field=field)
 
 
-def _unit_interval(value: object, field: str = "transmission") -> float:
-    """``value`` as a float by :func:`_real` in [0, 1]; otherwise a ConfigError naming ``field``."""
-    number = _real(value, field)
+def unit_interval(value: object, field: str = "transmission") -> float:
+    """:func:`finite_float` of ``value`` in [0, 1]; otherwise a ConfigError naming ``field``."""
+    number = finite_float(value, field)
     if not 0.0 <= number <= 1.0:
         raise ConfigError(f"{field} must lie in [0, 1], got {number}", field=field)
     return number
@@ -105,10 +105,10 @@ class SchemeConfig:
             if len(values) != size:
                 raise ConfigError(f"{name} must have {size} entries, got {len(values)}", field=name)
         aligned = self.aligned_range
-        phi = tuple(_real(x, f"phi.{j}") for j, x in zip(self.detected_range, phi))
-        theta = tuple(_real(x, f"theta.{l}") for l, x in zip(aligned, theta))
-        trans = tuple(_unit_interval(x, f"transmission.{l}") for l, x in zip(aligned, trans))
-        object.__setattr__(self, "phi0", _real(self.phi0, "phi0"))
+        phi = tuple(finite_float(x, f"phi.{j}") for j, x in zip(self.detected_range, phi))
+        theta = tuple(finite_float(x, f"theta.{l}") for l, x in zip(aligned, theta))
+        trans = tuple(unit_interval(x, f"transmission.{l}") for l, x in zip(aligned, trans))
+        object.__setattr__(self, "phi0", finite_float(self.phi0, "phi0"))
         object.__setattr__(self, "phi", phi)
         object.__setattr__(self, "theta", theta)
         object.__setattr__(self, "transmission", trans)
@@ -244,7 +244,7 @@ def apply_path_identity(
     primed source beam feeds the aligned beam with amplitude unchanged.  Both inputs
     convert as in :class:`SchemeConfig`: a ConfigError names ``theta`` or ``transmission``.
     """
-    theta, passed = _real(theta, "theta"), _unit_interval(transmission)
+    theta, passed = finite_float(theta, "theta"), unit_interval(transmission)
     if not 1 <= particle <= psi.particle_count:
         raise ValueError(f"particle {particle} out of range 1..{psi.particle_count}")
 
@@ -261,7 +261,7 @@ def apply_beam_splitter(psi: PureState, particle: int, phi: float) -> PureState:
     ``e^{i phi} (d' + i d)/sqrt(2)``.  ``phi`` converts as in :class:`SchemeConfig`: a
     ConfigError names ``phi``.
     """
-    phi = _real(phi, "phi")
+    phi = finite_float(phi, "phi")
     if not 1 <= particle <= psi.particle_count:
         raise ValueError(f"particle {particle} out of range 1..{psi.particle_count}")
 
@@ -354,7 +354,7 @@ class DetectedState(NamedTuple):
         ``P = 2^(-n/2) i^(n-r)`` at ``r`` primed ports, plus ``(1 - T^2)/2 |U|^2`` lost;
         ``|A| <= AMPLITUDE_EPSILON`` cancels, as in the engine."""
         n = self.n_detected
-        weight, lost = self._weights(_unit_interval(self.transmission))
+        weight, lost = self._weights(unit_interval(self.transmission))
         loss_free = weight[:, _bit_counts(n) & 1]
         return BranchTable(loss_free, loss_free + lost * 0.5**n, lost)
 
@@ -362,7 +362,7 @@ class DetectedState(NamedTuple):
         """Column 0 of ``table().marginal`` at each of ``transmissions`` in place of T, one
         row each: the pattern of the unprimed coincidence over the phase column.  Each T
         converts as in :class:`SchemeConfig`, so one outside [0, 1] is a ConfigError."""
-        weight, lost = self._weights(np.array([*map(_unit_interval, transmissions)])[:, None, None])
+        weight, lost = self._weights(np.array([*map(unit_interval, transmissions)])[:, None, None])
         return weight[..., 0] + lost[:, 0] * 0.5**self.n_detected
 
     def _weights(self, total: float | np.ndarray) -> tuple[np.ndarray, float | np.ndarray]:
@@ -382,7 +382,7 @@ class DetectedState(NamedTuple):
         if 2**n > MAX_DENSITY_DIM:
             raise ValueError(f"a density matrix of {n} particles exceeds {MAX_DENSITY_DIM}")
         basis, (u, p) = _port_branches(n)
-        cross = _unit_interval(self.transmission) * self.phase.item() * np.outer(u, p.conj())
+        cross = unit_interval(self.transmission) * self.phase.item() * np.outer(u, p.conj())
         matrix = (np.outer(u, u.conj()) + np.outer(p, p.conj()) + cross + cross.conj().T) / 2
         return DensityMatrix(tuple(range(1, n + 1)), basis, matrix)
 
@@ -395,7 +395,7 @@ class DetectedState(NamedTuple):
 
     def pure_state(self) -> PureState:
         """(U + e^(i xi) P)/sqrt(2) at T = 1; ValueError below, where rho is mixed."""
-        if _unit_interval(self.transmission) != 1.0:
+        if unit_interval(self.transmission) != 1.0:
             raise ValueError(f"the detected state is mixed at T = {self.transmission}")
         basis, (u, p) = _port_branches(self.n_detected)
         turned = self.phase.item().conjugate() * p
@@ -417,7 +417,7 @@ def detected_state(
     if variable is not None:
         slot = cfg.phase_slot(variable)
         sign = -1.0 if slot > n else 1.0  # theta.<l> enters xi with a minus sign
-        values = [sign * _real(value, variable) for value in grid]
+        values = [sign * finite_float(value, variable) for value in grid]
     elif any(True for _ in grid):  # reads at most one value
         raise ValueError("a grid needs a phase variable")
     fsum, exp = math.fsum, cmath.exp

@@ -95,6 +95,18 @@ ONE_ORACLE_RUN = (
 )
 
 
+@pytest.fixture(autouse=True)
+def closes_every_descriptor():
+    """Each test leaves no file descriptor open that it opened: ``_write_lines`` writes through
+    a bare descriptor, which no ResourceWarning reports.  Checked where /proc/self/fd lists them."""
+    if not os.path.isdir("/proc/self/fd"):
+        yield
+        return
+    before = set(os.listdir("/proc/self/fd"))
+    yield
+    assert sorted(set(os.listdir("/proc/self/fd")) - before, key=int) == []
+
+
 def read_rows(path):
     lines = path.read_text().splitlines()
     header = lines[0].split(",")
@@ -145,6 +157,24 @@ class TestParseScenario:
             parse_scenario(text)
         assert info.value.key == key
         assert info.value.line == len(CASE_I_SWEEP.splitlines()) + 1
+
+    @pytest.mark.parametrize(
+        "key, value, got",
+        [
+            *((key, value, got) for key in ("sweep.start", "sweep.stop")
+              for value, got in (("abc", "'abc'"), ("nan", "nan"), ("-inf", "-inf"))),
+            ("entangle.grid", "0.5,x", "'x'"), ("entangle.grid", "0.5,", "''"),
+            ("entangle.grid", "1e400", "inf"),
+        ],
+    )  # fmt: skip
+    def test_real_that_is_no_finite_number_names_key_and_line(self, key, value, got):
+        document = CASE_I_ENTANGLE if key == "entangle.grid" else CASE_I_SWEEP
+        line = len(document.splitlines()) + 1
+        with pytest.raises(ScenarioParseError) as info:
+            parse_scenario(document + f"{key} = {value}\n")
+        assert (info.value.key, info.value.line) == (key, line)
+        message = f"{key} must be a finite number, got {got}"
+        assert str(info.value) == f"line {line}, key '{key}': {message}"
 
     def test_overflowing_sweep_range_rejected(self):
         text = CASE_I_SWEEP + "sweep.start = -1e308\nsweep.stop = 1e308\n"
@@ -381,6 +411,30 @@ class TestRequiredKeysAndBounds:
             parse_scenario(f"command = run\n# size\nscheme.n = {n}\nscheme.m = {m}\n")
         assert str(info.value) == f"line {line}, key '{key}': {message}"
 
+    @pytest.mark.parametrize(
+        "key, value, bounds",
+        [
+            ("scheme.n", 0, "[1, 16]"), ("scheme.n", 17, "[1, 16]"),
+            ("scheme.m", -1, "[0, 2]"), ("scheme.m", 4, "[0, 2]"),
+            ("sweep.steps", 7, "[8, 4096]"), ("sweep.steps", 4097, "[8, 4096]"),
+            ("oracle.cases", 0, "[1, 100000]"), ("oracle.cases", 100001, "[1, 100000]"),
+            ("oracle.max_detected", 0, "[1, 8]"), ("oracle.max_detected", 9, "[1, 8]"),
+            ("oracle.max_aligned", -1, "[0, 8]"), ("oracle.max_aligned", 9, "[0, 8]"),
+        ],
+    )  # fmt: skip
+    def test_integer_one_step_past_each_bound_names_key_and_line(self, key, value, bounds):
+        command, given = {
+            "scheme": ("run", {"scheme.n": 3, "scheme.m": 1}),
+            "sweep": ("sweep", {"scheme.n": 3, "scheme.m": 1, "sweep.variable": "phi0"}),
+            "oracle": ("oracle-check", {}),
+        }[key.partition(".")[0]]
+        lines = [f"{k} = {v}" for k, v in {**given, key: value}.items()]
+        line = lines.index(f"{key} = {value}") + 3
+        with pytest.raises(ScenarioParseError) as info:
+            parse_scenario("\n".join([f"command = {command}", "# bounds", *lines]) + "\n")
+        assert (info.value.key, info.value.line) == (key, line)
+        assert str(info.value) == f"line {line}, key '{key}': {key} must lie in {bounds}"
+
     @pytest.mark.parametrize("detected", range(1, 6))
     @pytest.mark.parametrize("target", TARGETS)
     @pytest.mark.parametrize("command", ["run", "entangle"])
@@ -431,9 +485,20 @@ class TestRequiredKeysAndBounds:
             ("run", "scheme.n = 3\nscheme.m = 1\nscheme.phi.3 = 0.5\n", "scheme.phi.3", 5),
             ("run", "scheme.n = 3\nscheme.m = 1\nscheme.theta.1 = 0.5\nbogus = 1\n",
              "scheme.theta.1", 5),
+            ("run", "scheme.n = 3\nscheme.m = 1\nentangle.grid = 0.5\n", "entangle.grid", 5),
+            ("sweep", "scheme.n = 3\nscheme.m = 1\nsweep.variable = phi0\nentangle.grid = 0.5\n",
+             "entangle.grid", 6),
+            ("oracle-check", "entangle.grid = 0.5\n", "entangle.grid", 3),
+            ("run", "scheme.n = 3\nscheme.m = 1\noracle.cases = 2\n", "oracle.cases", 5),
+            ("sweep", "scheme.n = 3\nscheme.m = 1\nsweep.variable = phi0\noracle.cases = 2\n",
+             "oracle.cases", 6),
+            ("entangle", "scheme.n = 3\nscheme.m = 1\noracle.cases = 2\n", "oracle.cases", 5),
+            ("entangle", "scheme.n = 3\nscheme.m = 1\nsweep.start = 0\n", "sweep.start", 5),
         ],
         ids=["run-target", "sweep-target", "oracle-scheme", "oracle-target", "entangle-sweep",
-             "phi-of-an-aligned-particle", "theta-of-a-detected-particle"],
+             "phi-of-an-aligned-particle", "theta-of-a-detected-particle", "run-grid",
+             "sweep-grid", "oracle-grid", "run-oracle", "sweep-oracle", "entangle-oracle",
+             "entangle-sweep-start"],
     )  # fmt: skip
     def test_key_the_command_does_not_read_is_unknown(self, tmp_path, command, text, key, line):
         scenario, out = tmp_path / "doc.scenario", tmp_path / "doc.csv"
@@ -773,16 +838,22 @@ class TestEntangleCommand:
         assert by_t[0.5][4] == ""  # mixed state, tangle undefined
         assert float(by_t[1.0][4]) == pytest.approx(1.0, abs=1e-9)
 
-    @pytest.mark.parametrize("point", ["-0.1", "1.5", "nan"])
-    def test_grid_point_outside_the_unit_interval_is_rejected(self, tmp_path, capsys, point):
+    @pytest.mark.parametrize(
+        "point, reason",
+        [("-0.1", "must lie in [0, 1], got -0.1"), ("1.5", "must lie in [0, 1], got 1.5"),
+         ("nan", "must be a finite number, got nan")],
+        ids=["-0.1", "1.5", "nan"],
+    )  # fmt: skip
+    def test_grid_point_outside_the_unit_interval_is_rejected(
+        self, tmp_path, capsys, point, reason
+    ):
         scenario, out = tmp_path / "ent.scenario", tmp_path / "ent.csv"
         scenario.write_text(
             f"command = entangle\nscheme.n = 3\nscheme.m = 1\nentangle.grid = 0.5,{point}\n"
         )
         assert main(["entangle", "--scenario", str(scenario), "--out", str(out)]) == EXIT_INVALID
         assert capsys.readouterr().err == (
-            "pisim: scenario error: line 4, key 'entangle.grid': "
-            "grid transmissions must lie in [0, 1]\n"
+            f"pisim: scenario error: line 4, key 'entangle.grid': entangle.grid {reason}\n"
         )
         assert not out.exists()
 
@@ -1228,8 +1299,8 @@ class TestFiles:
         head = f"command = {{}}\n# a{char}b = 1\nscheme.n = 3\nscheme.m = 1\n"
         cases = [
             ("run", "bogus = 1", "line 5, key 'bogus': unknown key"),
-            ("run", f"scheme.phi0 = 1{char}5", f"line 5, key 'scheme.phi0': expected a number, "
-             f"got {'1' + char + '5'!r}"),
+            ("run", f"scheme.phi0 = 1{char}5", f"line 5, key 'scheme.phi0': phi0 must be a finite "
+             f"number, got {'1' + char + '5'!r}"),
             ("entangle", f"target = Psi{char}+", f"line 5, key 'target': unknown target "
              f"{'Psi' + char + '+'!r} (expected one of {', '.join(TARGETS)})"),
         ]  # fmt: skip
