@@ -105,10 +105,10 @@ class SchemeConfig:
             if len(values) != size:
                 raise ConfigError(f"{name} must have {size} entries, got {len(values)}", field=name)
         aligned = self.aligned_range
+        object.__setattr__(self, "phi0", finite_float(self.phi0, "phi0"))  # in field order
         phi = tuple(finite_float(x, f"phi.{j}") for j, x in zip(self.detected_range, phi))
         theta = tuple(finite_float(x, f"theta.{l}") for l, x in zip(aligned, theta))
         trans = tuple(unit_interval(x, f"transmission.{l}") for l, x in zip(aligned, trans))
-        object.__setattr__(self, "phi0", finite_float(self.phi0, "phi0"))
         object.__setattr__(self, "phi", phi)
         object.__setattr__(self, "theta", theta)
         object.__setattr__(self, "transmission", trans)

@@ -148,6 +148,12 @@ class TestParseScenario:
         assert info.value.line == 5
         assert f"line 5, key '{key}'" in str(info.value)
 
+    def test_first_bad_scheme_value_in_field_order_is_reported(self):
+        with pytest.raises(ScenarioParseError) as info:
+            parse_scenario(CASE_I_RUN + "scheme.phi0 = abc\nscheme.phi.1 = nan\n")
+        message = "phi0 must be a finite number, got 'abc'"
+        assert str(info.value) == f"line 6, key 'scheme.phi0': {message}"
+
     @pytest.mark.parametrize(
         "key, value", [("sweep.start", "-inf"), ("sweep.stop", "inf"), ("sweep.start", "nan")]
     )
