@@ -112,7 +112,8 @@ def three_tangle(psi: PureState) -> float:
 
 
 def fidelity(rho: DensityMatrix, target: PureState) -> float:
-    """Overlap ``<target|rho|target>`` of a mixed state with a pure target."""
+    """Overlap ``<target|rho|target>`` of a mixed state with a pure target; for a
+    ``rho`` that keeps a factor, sum_g |<target|x_g>|^2 over its rows."""
     particles = tuple(label.index for label in next(iter(target.amplitudes)))
     if particles != rho.kept_particles:  # each slot of a state carries one particle's labels
         raise ValueError(
@@ -122,6 +123,9 @@ def fidelity(rho: DensityMatrix, target: PureState) -> float:
         raise NormalizationError("fidelity target must be normalized")
     get = target.amplitudes.get  # the basis outcomes are tuples already
     vector = np.array([get(o, 0j) for o in rho.basis], dtype=complex)
+    if rho.factor is not None:
+        overlaps = rho.factor @ vector.conj()
+        return float(np.vdot(overlaps, overlaps).real)
     return float((vector.conj() @ rho.matrix @ vector).real)
 
 

@@ -224,6 +224,8 @@ def _parse_entangle_grid(entries: _Entries) -> tuple[float, ...]:
     found = entries.take("entangle.grid")
     if found is None:
         return DEFAULT_ENTANGLE_GRID
+    if found[0].count(",") >= MAX_ENTANGLE_GRID:  # counted before any part is converted
+        raise entries.error("entangle.grid", f"more than {MAX_ENTANGLE_GRID} grid points")
     try:
         return tuple(unit_interval(part, "entangle.grid") for part in found[0].split(","))
     except ConfigError as exc:
@@ -296,8 +298,6 @@ def parse_scenario(text: str) -> Scenario:
             raise entries.error("scheme.m", "entangle needs at least one aligned particle")
         if scheme.n_detected not in (2, 3):
             raise entries.error("scheme.n", "entangle supports two or three detected particles")
-        if len(entangle_grid) > MAX_ENTANGLE_GRID:
-            raise entries.error("entangle.grid", f"more than {MAX_ENTANGLE_GRID} grid points")
 
     return Scenario(command, scheme, sweep, target, entangle_grid, oracle, output_path)
 

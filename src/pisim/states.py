@@ -16,7 +16,7 @@ import operator
 from dataclasses import dataclass
 from enum import IntEnum
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -346,12 +346,25 @@ def state_fidelity(a: PureState, b: PureState) -> float:
     return abs(inner_product(a, b)) ** 2
 
 
+class _Factor(NamedTuple):
+    """The rows x_g of a factor of rho = sum_g x_g x_g^dagger, which :func:`to_density`
+    hands to :class:`DensityMatrix` in place of the matrix."""
+
+    rows: np.ndarray
+
+
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
-    """Hermitian, unit-trace operator on a subset of particles.
+    """Hermitian, positive semidefinite, unit-trace operator on a subset of particles.
 
     ``basis`` lists the outcomes (restricted to ``kept_particles``) indexing
-    the rows and columns, in canonical sorted order.
+    the rows and columns, in canonical sorted order.  A dense ``matrix`` given
+    here is checked in full.  :func:`to_density` hands over the G x dim factor
+    of its group vectors instead: ``factor`` keeps it (None for a dense
+    matrix), and ``matrix`` is formed from it on first read, as the sum of the
+    rows' outer products in row order.  A sum of outer products is Hermitian
+    and positive semidefinite by construction, so a factor is checked only for
+    its basis, its finiteness and its trace, the sum of its |x|^2.
     """
 
     kept_particles: tuple[int, ...]
@@ -378,36 +391,55 @@ class DensityMatrix:
                 )
         if not all(map(operator.lt, basis, basis[1:])):
             raise ValidationError("basis must be strictly ascending")
-        matrix = np.asarray(self.matrix, dtype=complex)
-        if matrix.shape != (len(basis), len(basis)):
+        factored = type(self.matrix) is _Factor
+        matrix = np.asarray(self.matrix.rows if factored else self.matrix, dtype=complex)
+        if not factored and matrix.shape != (len(basis), len(basis)):
             raise ValidationError(
                 f"matrix shape {matrix.shape} does not match basis size {len(basis)}"
             )
         if not np.isfinite(matrix).all():
             raise ValidationError("matrix has non-finite entries")
-        work = matrix.T.copy()  # one buffer: conj(rho^T), then the gap, then rho - floor * I
-        np.conjugate(work, out=work)
-        gap = np.subtract(matrix, work, out=work).view(float)  # its real and imaginary parts
-        # |z| <= sqrt(2) max(|Re z|, |Im z|): the magnitudes are needed only above tolerance / 2
-        if np.abs(gap).max() > HERMITICITY_TOLERANCE / 2:
-            deviation = np.abs(work).max()
-            if deviation > HERMITICITY_TOLERANCE:
-                raise ValidationError(f"matrix is not Hermitian (max deviation {deviation:.3e})")
-        trace = matrix.trace()
+        if not factored:
+            work = matrix.T.copy()  # one buffer: conj(rho^T), then the gap, then rho - floor * I
+            np.conjugate(work, out=work)
+            gap = np.subtract(matrix, work, out=work).view(float)  # its real and imaginary parts
+            # |z| <= sqrt(2) max(|Re z|, |Im z|): the magnitudes are needed only above tolerance / 2
+            if np.abs(gap).max() > HERMITICITY_TOLERANCE / 2:
+                deviation = np.abs(work).max()
+                if deviation > HERMITICITY_TOLERANCE:
+                    raise ValidationError(f"matrix is not Hermitian (max deviation {deviation:.3e})")
+        trace = complex(np.vdot(matrix, matrix).real) if factored else matrix.trace()
         if abs(trace - 1.0) > TRACE_TOLERANCE:
             raise ValidationError(f"trace is {trace:.15g}, expected 1")
-        work[...] = matrix
-        work.flat[:: len(basis) + 1] -= EIGENVALUE_FLOOR
-        try:
-            np.linalg.cholesky(work)  # factors exactly when every eigenvalue is above the floor
-        except np.linalg.LinAlgError:
-            smallest = np.linalg.eigvalsh(matrix).min()
-            if smallest < EIGENVALUE_FLOOR:
-                raise ValidationError(f"matrix has negative eigenvalue {smallest:.3e}") from None
+        if not factored:
+            work[...] = matrix
+            work.flat[:: len(basis) + 1] -= EIGENVALUE_FLOOR
+            try:
+                np.linalg.cholesky(work)  # factors exactly when every eigenvalue is above the floor
+            except np.linalg.LinAlgError:
+                smallest = np.linalg.eigvalsh(matrix).min()
+                if smallest < EIGENVALUE_FLOOR:
+                    raise ValidationError(f"matrix has negative eigenvalue {smallest:.3e}") from None
         matrix.setflags(write=False)
         object.__setattr__(self, "kept_particles", kept)
         object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "factor", matrix if factored else None)
+        if factored:
+            object.__delattr__(self, "matrix")  # formed by __getattr__ on first read
+        else:
+            object.__setattr__(self, "matrix", matrix)
+
+    def __getattr__(self, name: str) -> np.ndarray:
+        # reached only for a name the instance lacks: the matrix of a factor, until first read
+        factor = self.__dict__.get("factor")
+        if name != "matrix" or factor is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        matrix = np.zeros((len(self.basis), len(self.basis)), dtype=complex)
+        for row in factor:
+            matrix += np.outer(row, row.conj())
+        matrix.setflags(write=False)
         object.__setattr__(self, "matrix", matrix)
+        return matrix
 
     @property
     def dim(self) -> int:
@@ -440,10 +472,11 @@ def to_density(psi: PureState, keep: Iterable[int] | None = None) -> DensityMatr
     (default: every particle, i.e. the projector |psi><psi|).
 
     Built from the sparse terms: each group of terms sharing their labels on
-    the traced particles adds one outer product over the kept particles'
-    product basis, in ascending order of those labels.  That is the order in
-    which :func:`partial_trace` of the full projector sums them, so both give
-    the same matrix bit for bit.
+    the traced particles gives one vector over the kept particles' product
+    basis, and the G vectors, in ascending order of those labels, are the
+    ``factor`` of the result; rho = sum_g x_g x_g^dagger is not formed until
+    its ``matrix`` is read.  That is the order in which :func:`partial_trace`
+    of the full projector sums them, so both give the same matrix bit for bit.
     """
     if not psi.is_normalized:
         raise NormalizationError(f"state norm is {psi.norm():.15g}, expected 1")
@@ -462,17 +495,37 @@ def to_density(psi: PureState, keep: Iterable[int] | None = None) -> DensityMatr
         np.fromiter(map(group.__getitem__, traced), np.intp, psi.term_count),
         np.fromiter(map(index.__getitem__, kept), np.intp, psi.term_count),
     ] = np.fromiter(psi.amplitudes.values(), complex, psi.term_count)
-    matrix = np.zeros((len(basis), len(basis)), dtype=complex)
-    for vector in vectors:
-        matrix += np.outer(vector, vector.conj())
-    return DensityMatrix(keep, basis, matrix)
+    return DensityMatrix(keep, basis, _Factor(vectors))
 
 
 def partial_trace(rho: DensityMatrix, keep: Iterable[int]) -> DensityMatrix:
-    """Reduced density matrix on the ``keep`` subset of ``rho.kept_particles``."""
+    """Reduced density matrix on the ``keep`` subset of ``rho.kept_particles``, dense.
+
+    Each cell sums its entries of ``rho.matrix`` over the traced labels, in their
+    order of first appearance in the basis.  A ``factor`` from :func:`to_density`
+    spans a product basis, where that order is ascending: the factor's rows are
+    reshaped over it, each traced tuple's block sums its rows' products in row
+    order, as ``rho.matrix`` does, and the blocks are added in ascending order,
+    so the result has the bits of the dense route without forming ``rho.matrix``.
+    """
     keep = _kept(keep, rho.kept_particles)
     if keep == rho.kept_particles:
         return rho
+    if rho.factor is not None:
+        labels = [list(dict.fromkeys(column)) for column in zip(*rho.basis)]  # each ascending
+        kept = [rho.kept_particles.index(p) for p in keep]
+        traced = [s for s in range(len(labels)) if s not in kept]
+        size = math.prod(len(labels[s]) for s in kept)
+        axes = [1 + s for s in traced + kept]
+        rows = rho.factor.reshape(-1, *map(len, labels)).transpose(0, *axes)
+        rows = rows.reshape(len(rho.factor), -1, size)  # (row, traced tuple, kept tuple)
+        blocks = np.zeros((rows.shape[1], size, size), dtype=complex)
+        product = np.empty_like(blocks)
+        for row, conj in zip(rows, rows.conj()):
+            blocks += np.multiply(row[:, :, None], conj[:, None, :], out=product)
+        # running sums in ascending order; no sum from 0.0 is -0.0, so none needs a 0.0 first
+        reduced = np.add.accumulate(blocks)[-1].copy()  # a copy holds none of the other sums
+        return DensityMatrix(keep, tuple(itertools.product(*(labels[s] for s in kept))), reduced)
 
     columns = list(zip(*rho.basis))
     kept_parts = list(zip(*(columns[rho.kept_particles.index(p)] for p in keep)))

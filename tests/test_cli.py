@@ -211,6 +211,26 @@ class TestParseScenario:
             parse_scenario(text + ",".join(["0.5"] * 100000) + "\n")
         assert (info.value.key, info.value.line) == ("entangle.grid", 5)
 
+    @pytest.mark.parametrize("points", [MAX_ENTANGLE_GRID + 1, 1_000_000])
+    def test_grid_past_the_bound_is_rejected_before_any_part_is_read(self, monkeypatch, points):
+        calls, unit_interval = [], pisim.cli.unit_interval
+
+        def counted(*args):
+            calls.append(args)
+            return unit_interval(*args)
+
+        # a bad part and a bad target too: the grid's length is reported before either
+        text = "command = entangle\nscheme.n = 3\nscheme.m = 1\ntarget = F5\nentangle.grid = "
+        monkeypatch.setattr(pisim.cli, "unit_interval", counted)
+        with pytest.raises(ScenarioParseError) as info:
+            parse_scenario(text + ",".join(["x"] + ["0.5"] * (points - 1)) + "\n")
+        assert str(info.value) == (
+            f"line 5, key 'entangle.grid': more than {MAX_ENTANGLE_GRID} grid points"
+        )
+        assert calls == []
+        parse_scenario(text.replace("F5", "Psi+") + ",".join(["0.5"] * MAX_ENTANGLE_GRID) + "\n")
+        assert len(calls) == MAX_ENTANGLE_GRID
+
     @pytest.mark.parametrize("cases, runs", [(69, 4968), (100000, 7200000)])
     def test_oracle_run_bound(self, cases, runs):
         text = (

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import cmath
 import copy
+import dataclasses
 import itertools
 import math
 import pickle
@@ -25,10 +26,13 @@ from pisim import (
     ValidationError,
     aligned_beam,
     apply_beam_splitter,
+    conditional_detected_state,
     detector,
+    fidelity,
     inner_product,
     loss,
     partial_trace,
+    predicted_output_state,
     primed_detector,
     primed_source_beam,
     pure_state_from_terms,
@@ -42,6 +46,7 @@ from pisim.states import (
     EIGENVALUE_FLOOR,
     HERMITICITY_TOLERANCE,
     MAX_DENSITY_DIM,
+    _Factor,
     format_outcome,
     port_outcomes,
     pruned_state,
@@ -460,6 +465,30 @@ def mode_states(draw):
     return pure_state_from_terms(zip(outcomes, amps)).normalized()
 
 
+@st.composite
+def engine_schemes(draw):
+    """Schemes of up to 8 particles, any number aligned, at t = 0, t = 1 or any t, with a
+    nonempty set of particles to keep, the detected ones first or not."""
+    n_total = draw(st.integers(1, 8), label="n_total")
+    m = draw(st.integers(0, n_total - 1), label="m")
+    phase = st.floats(-2 * math.pi, 2 * math.pi)
+    transmission = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+    cfg = SchemeConfig(
+        n_total,
+        m,
+        phi0=draw(phase, label="phi0"),
+        phi=tuple(draw(phase) for _ in range(n_total - m)),
+        theta=tuple(draw(phase) for _ in range(m)),
+        transmission=(draw(transmission, label="transmission"),) * m,
+    )
+    return cfg, draw(st.sets(st.integers(1, n_total), min_size=1), label="keep")
+
+
+def bits(matrix: np.ndarray) -> bytes:
+    """The bytes of ``matrix``: equal for equal bits, so 0.0 and -0.0 differ."""
+    return np.ascontiguousarray(matrix).tobytes()
+
+
 class TestReducedDensity:
     """``to_density(psi, keep)`` against the full projector reduced by ``partial_trace``."""
 
@@ -471,24 +500,10 @@ class TestReducedDensity:
         assert direct.basis == reference.basis
         assert np.array_equal(direct.matrix, reference.matrix)
 
-    @given(
-        n_total=st.integers(1, 8),
-        data=st.data(),
-        transmission=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
-    )
+    @given(scheme=engine_schemes())
     @settings(max_examples=60, deadline=None)
-    def test_scheme_output_matches_partial_trace(self, n_total, data, transmission):
-        m = data.draw(st.integers(0, n_total - 1), label="m")
-        phase = st.floats(-2 * math.pi, 2 * math.pi)
-        cfg = SchemeConfig(
-            n_total,
-            m,
-            phi0=data.draw(phase, label="phi0"),
-            phi=tuple(data.draw(phase) for _ in range(n_total - m)),
-            theta=tuple(data.draw(phase) for _ in range(m)),
-            transmission=(transmission,) * m,
-        )
-        keep = data.draw(st.sets(st.integers(1, n_total), min_size=1), label="keep")
+    def test_scheme_output_matches_partial_trace(self, scheme):
+        cfg, keep = scheme
         self.assert_matches_reference(run_scheme(cfg), keep)
 
     @given(psi=mode_states(), data=st.data())
@@ -514,6 +529,83 @@ class TestReducedDensity:
     def test_keep_must_name_particles_of_the_state(self, keep):
         with pytest.raises(ValueError):
             to_density(bell_psi_plus(), keep)
+
+
+class TestFactoredDensity:
+    """A ``DensityMatrix`` from ``to_density`` keeps its factor: its matrix, partial trace
+    and fidelity against the same matrix given densely."""
+
+    @given(scheme=engine_schemes())
+    @settings(max_examples=80, deadline=None)
+    def test_factored_routes_match_the_dense_route(self, scheme):
+        cfg, keep = scheme
+        psi = run_scheme(cfg)
+        rho = to_density(psi)
+        expected = np.zeros((rho.dim, rho.dim), dtype=complex)
+        for row in rho.factor:
+            expected += np.outer(row, row.conj())
+        assert bits(rho.matrix) == bits(expected)
+        dense = DensityMatrix(rho.kept_particles, rho.basis, rho.matrix)
+        assert dense.factor is None
+        factored_part, dense_part = partial_trace(rho, keep), partial_trace(dense, keep)
+        assert factored_part.kept_particles == dense_part.kept_particles
+        assert factored_part.basis == dense_part.basis
+        assert bits(factored_part.matrix) == bits(dense_part.matrix)
+        detected = conditional_detected_state(psi)
+        target = predicted_output_state(cfg.n_detected, cfg.xi)
+        dense = DensityMatrix(detected.kept_particles, detected.basis, detected.matrix)
+        assert fidelity(detected, target) == pytest.approx(fidelity(dense, target), abs=1e-14)
+
+    def test_the_chain_never_forms_the_matrix(self):
+        cfg = SchemeConfig(8, 3, phi0=0.4, transmission=(0.3, 0.6, 0.9))
+        rho = conditional_detected_state(run_scheme(cfg))
+        assert fidelity(rho, predicted_output_state(cfg.n_detected, cfg.xi)) > 0.0
+        assert partial_trace(rho, (1, 3)).factor is None  # the reduction is dense
+        assert "matrix" not in vars(rho)
+        assert rho.matrix is rho.matrix  # formed once, on first read
+
+    @pytest.mark.parametrize(
+        "kept, basis, rows, message",
+        [
+            ((1,), ((detector(1),), (primed_detector(1),)), [[math.nan, 0.0]], "non-finite"),
+            (
+                (1,),
+                ((detector(1),), (primed_detector(1),)),
+                [[math.sqrt(0.5), 0.0], [0.0, math.sqrt(0.5 + 1e-9)]],
+                "trace is 1.000000001+0j, expected 1",
+            ),
+            (
+                (1,),
+                ((detector(1),), (primed_detector(2),)),
+                [[ROOT_HALF, ROOT_HALF]],
+                "carries d2', which is not a label of particle 1",
+            ),
+        ],
+        ids=["non-finite", "trace", "foreign-label"],
+    )
+    def test_factor_raises_the_dense_message(self, kept, basis, rows, message):
+        rows = np.array(rows, dtype=complex)
+        matrix = sum(np.outer(row, row.conj()) for row in rows)
+        with pytest.raises(ValidationError) as dense:
+            DensityMatrix(kept, basis, matrix)
+        with pytest.raises(ValidationError) as factored:
+            DensityMatrix(kept, basis, _Factor(rows))
+        assert message in str(dense.value)
+        assert str(factored.value) == str(dense.value)
+
+    def test_factored_density_is_immutable(self):
+        rho = to_density(bell_psi_plus())
+        for name in ("matrix", "factor", "basis"):  # the matrix before and after its first read
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(rho, name, None)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(rho, name)
+        for array in (rho.factor, rho.matrix):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0, 0] = 1.0
+        with pytest.raises(AttributeError):
+            rho.bogus
 
 
 class TestPartialTrace:
